@@ -30,15 +30,17 @@ from .evaluate import (
 )
 from .ontology import build_similarity, load_ontology
 from .pipeline import (
+    CONFIG_SCHEMA,
     METHOD_SSM,
     METHODS,
     RunConfig,
     RunContext,
     config_snapshot,
+    parse_config,
+    parse_config_value,
     run_quarters,
     write_results_csv,
 )
-from .quarters import Quarter
 from .reports import load_reports
 from .synth import (
     basic_scenario,
@@ -50,22 +52,6 @@ from .synth import (
 )
 
 log = logging.getLogger(__name__)
-
-_CONFIG_KEYS = {
-    "methods",
-    "min_ssm",
-    "w",
-    "vague_sd",
-    "effects",
-    "include_target_in_reml",
-    "threshold",
-    "n_samples",
-    "seed",
-    "min_a",
-    "threads",
-    "start",
-    "end",
-}
 
 _PRESETS = {
     "basic": basic_scenario,
@@ -85,62 +71,20 @@ def _read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+            values[key.strip()] = value.strip()
     return values
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValidationError(f"expected a boolean, got {text!r}")
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    """Config file values, overlaid by every flag given, then parsed."""
+    values = _read_config_file(args.config) if args.config else {}
+    for key in CONFIG_SCHEMA:
+        flag = getattr(args, key)
         if flag is not None:
-            values[key] = str(flag)
-
-    kwargs: dict = {}
-    if "methods" in values:
-        methods = tuple(m.strip() for m in values["methods"].split(",") if m.strip())
-        kwargs["methods"] = methods
-    if "w" in values:
-        if values["w"] == "max_ssm":
-            kwargs["w_policy"] = "max_ssm"
-        else:
-            kwargs["w_policy"] = "fixed"
-            kwargs["w_fixed"] = float(values["w"])
-    for key, conv in (
-        ("min_ssm", float),
-        ("vague_sd", float),
-        ("threshold", float),
-        ("n_samples", int),
-        ("seed", int),
-        ("min_a", int),
-        ("threads", int),
-    ):
-        if key in values:
-            kwargs[key] = conv(values[key])
-    if "effects" in values:
-        kwargs["effects"] = values["effects"]
-    if "include_target_in_reml" in values:
-        kwargs["include_target_in_reml"] = _parse_bool(values["include_target_in_reml"])
-    for key in ("start", "end"):
-        if values.get(key):
-            kwargs[key] = Quarter.parse(values[key])
-    if getattr(args, "drug_filter", None):
-        kwargs["drug_filter"] = frozenset(_read_code_list(args.drug_filter))
-    return RunConfig(**kwargs)
+            values[key] = flag
+    if args.drug_filter is not None:  # the flag names a file of codes
+        values["drug_filter"] = ";".join(_read_code_list(args.drug_filter))
+    return parse_config(values)
 
 
 def _read_code_list(path: str) -> list[str]:
@@ -150,6 +94,8 @@ def _read_code_list(path: str) -> list[str]:
             line = raw.strip()
             if line and not line.startswith("#"):
                 codes.append(line)
+    if not codes:
+        raise ValidationError(f"{path}: drug filter lists no drug codes")
     return codes
 
 
@@ -206,7 +152,10 @@ _OUTPUT_DOCS = {
         "fraction of resamples where the first method beats the second "
         "(ties count one half)"
     ),
-    "effective_config.txt": "the fully resolved configuration for this run",
+    "effective_config.txt": (
+        "the fully resolved configuration for this run; pass it back with "
+        "--config to replay the run"
+    ),
 }
 
 
@@ -331,11 +280,8 @@ def _parse_grid(items: list[str]) -> dict[str, list]:
         if "=" not in item:
             raise ValidationError(f"bad --grid {item!r}, expected key=v1,v2,...")
         key, _, values = item.partition("=")
-        parsed: list = []
-        for tok in values.split(","):
-            tok = tok.strip()
-            parsed.append(tok if tok == "max_ssm" else float(tok))
-        grid[key.strip()] = parsed
+        key = key.strip()
+        grid[key] = [parse_config_value(key, tok.strip()) for tok in values.split(",")]
     return grid
 
 
@@ -390,22 +336,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--methods", help=f"comma list from {{{','.join(METHODS)}}}")
-    p.add_argument("--min-ssm", dest="min_ssm", type=float, help="similarity cutoff")
+    p.add_argument("--min-ssm", dest="min_ssm", help="similarity cutoff")
     p.add_argument("--w", help="informative-prior weight: max_ssm or a number")
-    p.add_argument("--vague-sd", dest="vague_sd", type=float,
+    p.add_argument("--vague-sd", dest="vague_sd",
                    help="vague component standard deviation")
-    p.add_argument("--effects", choices=("random", "fixed"),
-                   help="pooling model for the borrow prior")
+    p.add_argument("--effects", help="pooling model for the borrow prior: "
+                   "random or fixed")
     p.add_argument("--include-target-in-reml", dest="include_target_in_reml",
-                   action="store_const", const=True, default=None,
+                   action="store_const", const="true", default=None,
                    help="let the target pair inform the heterogeneity estimate")
-    p.add_argument("--threshold", type=float, help="signal threshold on ci_low")
-    p.add_argument("--n-samples", dest="n_samples", type=int,
+    p.add_argument("--threshold", help="signal threshold on ci_low")
+    p.add_argument("--n-samples", dest="n_samples",
                    help="Monte Carlo draws per pair")
-    p.add_argument("--seed", type=int, help="run seed")
-    p.add_argument("--min-a", dest="min_a", type=int,
+    p.add_argument("--seed", help="run seed")
+    p.add_argument("--min-a", dest="min_a",
                    help="minimum joint count for screening")
-    p.add_argument("--threads", type=int, help="worker threads")
+    p.add_argument("--threads", help="worker threads")
     p.add_argument("--start", help="first cutoff quarter (YYYYQn)")
     p.add_argument("--end", help="last cutoff quarter (YYYYQn)")
     p.add_argument("--drug-filter", dest="drug_filter",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ontology import Ontology, SimilarityMatrix, build_similarity
-from .pipeline import METHOD_SSM, RunConfig, RunContext, run_quarters
+from .pipeline import METHOD_SSM, IcCache, RunConfig, RunContext, run_quarters
 from .quarters import Quarter
 from .reports import ReportStore
 
@@ -394,30 +394,20 @@ def parameter_sweep(
         floor = min([config.min_ssm] + [v for v in grid.get("min_ssm", [])])
         similarity = build_similarity(ontology, min_ssm=floor)
 
-    reference_value = {
-        "min_ssm": config.min_ssm,
-        "w": "max_ssm" if config.w_policy == "max_ssm" else config.w_fixed,
-        "vague_sd": config.vague_sd,
-        "threshold": config.threshold,
-    }
-
-    shared_cache: dict | None = None
+    cache = IcCache(store, config.seed, config.n_samples)
     rows: list[SweepRow] = []
     for param in SWEEP_PARAMS:
         if param not in grid:
             continue
         values = list(grid[param])
-        if reference_value[param] not in values:
-            values = [reference_value[param]] + values
+        reference_value = getattr(config, param)
+        if reference_value not in values:
+            values = [reference_value] + values
         for value in values:
-            cfg = _apply_sweep_value(config, param, value)
+            cfg = replace(config, **{param: value})
             ctx = RunContext(
-                store=store, config=cfg, similarity=similarity, ontology=ontology
+                store, cfg, similarity=similarity, ontology=ontology, cache=cache
             )
-            if shared_cache is None:
-                shared_cache = ctx.cache.memo
-            else:
-                ctx.cache.memo = shared_cache
             run = run_quarters(ctx)
             for method in cfg.methods:
                 report = score(
@@ -430,14 +420,6 @@ def parameter_sweep(
                     )
                 )
     return rows
-
-
-def _apply_sweep_value(config: RunConfig, param: str, value) -> RunConfig:
-    if param == "w":
-        if value == "max_ssm":
-            return replace(config, w_policy="max_ssm")
-        return replace(config, w_policy="fixed", w_fixed=float(value))
-    return replace(config, **{param: float(value)})
 
 
 def _sweep_label(value) -> str:

@@ -122,10 +122,3 @@ def posterior_ic(
 def signal_flag(posterior: IcPosterior, threshold: float = 0.0) -> bool:
     """True when the lower 95% credibility bound clears the threshold."""
     return posterior.ci_low > threshold
-
-
-def normal_approx(posterior: IcPosterior) -> tuple[float, float]:
-    """(mean, variance) normal summary used by the borrowing machinery."""
-    if posterior.variance <= 0.0:
-        raise NumericalError("degenerate posterior variance")
-    return posterior.pme, posterior.variance

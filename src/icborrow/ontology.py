@@ -48,9 +48,6 @@ class Ontology:
     def pts(self) -> list[str]:
         return sorted(c.code for c in self.concepts.values() if c.level == "PT")
 
-    def level_of(self, code: str) -> str:
-        return self.concepts[code].level
-
     # -- intrinsic information content -------------------------------------
 
     def intrinsic_ic(self) -> dict[str, float]:

@@ -11,10 +11,13 @@ from __future__ import annotations
 import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from ._version import __version__
 from .borrow import (
+    FIXED,
+    MAX_SSM,
     MODE_HLGT,
     MODE_SSM,
     BorrowSource,
@@ -44,13 +47,13 @@ class RunConfig:
 
     Defaults follow the reference parametrization: similarity cutoff 0.3,
     informative-component weight = max source similarity, vague prior sd 2.0,
-    random-effects pooling, signal threshold 0.
+    random-effects pooling, signal threshold 0. ``w`` is "max_ssm" or a
+    fixed weight in [0, 1].
     """
 
     methods: tuple[str, ...] = (METHOD_IC, METHOD_SSM)
     min_ssm: float = 0.3
-    w_policy: str = "max_ssm"
-    w_fixed: float = 0.8
+    w: str | float = MAX_SSM
     vague_sd: float = 2.0
     effects: str = "random"
     include_target_in_reml: bool = False
@@ -64,18 +67,117 @@ class RunConfig:
     drug_filter: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
+        if not self.methods:
+            raise ValidationError("methods must name at least one method")
         for m in self.methods:
             if m not in METHODS:
                 raise ValidationError(f"unknown method {m!r}")
-        if self.w_policy not in ("max_ssm", "fixed"):
-            raise ValidationError(f"unknown weight policy {self.w_policy!r}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValidationError(f"duplicate method in {','.join(self.methods)}")
         if self.effects not in ("random", "fixed"):
             raise ValidationError(f"unknown effects model {self.effects!r}")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
+        if self.drug_filter is not None and not self.drug_filter:
+            raise ValidationError("drug_filter must name at least one drug")
+        if isinstance(self.w, str):
+            if self.w != MAX_SSM:
+                raise ValidationError(f"unknown weight policy {self.w!r}")
+            policy = WeightPolicy()
+        else:
+            try:
+                policy = WeightPolicy(kind=FIXED, value=self.w)
+            except ValueError as exc:
+                raise ValidationError(str(exc)) from None
+        # Built once here, so a bad w fails before any data is loaded.
+        object.__setattr__(self, "_weight_policy", policy)
 
     def weight_policy(self) -> WeightPolicy:
-        return WeightPolicy(kind=self.w_policy, value=self.w_fixed)
+        return self._weight_policy
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValidationError(f"expected a boolean, got {text!r}")
+
+
+def _parse_quarter(text: str) -> Quarter | None:
+    return Quarter.parse(text) if text else None
+
+
+def _format_quarter(q: Quarter | None) -> str:
+    return "" if q is None else str(q)
+
+
+def _parse_drug_filter(text: str) -> frozenset[str] | None:
+    if not text:
+        return None
+    return frozenset(c.strip() for c in text.split(";") if c.strip())
+
+
+def _format_drug_filter(codes: frozenset[str] | None) -> str:
+    return "" if codes is None else ";".join(sorted(codes))
+
+
+# The run configuration schema: config key -> (parse text, format value).
+# Keys are RunConfig field names; defaults live on RunConfig only.
+CONFIG_SCHEMA: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
+    "methods": (
+        lambda t: tuple(m.strip() for m in t.split(",") if m.strip()),
+        ",".join,
+    ),
+    "min_ssm": (float, str),
+    "w": (lambda t: t if t == MAX_SSM else float(t), str),
+    "vague_sd": (float, str),
+    "effects": (str, str),
+    "include_target_in_reml": (_parse_bool, lambda v: str(v).lower()),
+    "threshold": (float, str),
+    "n_samples": (int, str),
+    "seed": (int, str),
+    "min_a": (int, str),
+    "threads": (int, str),
+    "start": (_parse_quarter, _format_quarter),
+    "end": (_parse_quarter, _format_quarter),
+    "drug_filter": (_parse_drug_filter, _format_drug_filter),
+}
+
+
+def parse_config_value(key: str, text: str) -> Any:
+    """One config value from its text form; errors name the key."""
+    if key not in CONFIG_SCHEMA:
+        raise ValidationError(f"unknown config key {key!r}")
+    try:
+        return CONFIG_SCHEMA[key][0](text)
+    except (ValueError, ValidationError) as exc:
+        raise ValidationError(f"config key {key!r}: {exc}") from None
+
+
+def parse_config(values: dict[str, str]) -> RunConfig:
+    """RunConfig from key -> text values, as config_snapshot writes them;
+    of the provenance keys, ``rng`` must match and ``version`` is ignored."""
+    kwargs = {}
+    for key, text in values.items():
+        if key == "rng":
+            if text != RNG_ALGORITHM:
+                raise ValidationError(
+                    f"config key 'rng': {text!r} is not {RNG_ALGORITHM!r}"
+                )
+        elif key != "version":
+            kwargs[key] = parse_config_value(key, text)
+    return RunConfig(**kwargs)
+
+
+def config_snapshot(cfg: RunConfig) -> str:
+    """Effective configuration as sorted key = value lines; parse_config
+    reads it back to an equal RunConfig."""
+    items = {key: fmt(getattr(cfg, key)) for key, (_, fmt) in CONFIG_SCHEMA.items()}
+    items["rng"] = RNG_ALGORITHM
+    items["version"] = __version__
+    return "".join(f"{k} = {v}\n" for k, v in sorted(items.items()))
 
 
 @dataclass(frozen=True)
@@ -112,47 +214,46 @@ def derive_seed(seed: int, drug: str, event: str, cutoff: Quarter) -> int:
 
 
 class IcCache:
-    """Memoized plain information components, shared across methods.
+    """Memoized plain information components, shared across methods and
+    across RunContexts (e.g. sweep points) with the same store, seed and
+    n_samples.
 
     Values depend only on (drug, event, cutoff, run seed, n_samples), so
     concurrent recomputation is harmless: every writer stores the same value.
     """
 
-    def __init__(
-        self,
-        store: ReportStore,
-        seed: int,
-        n_samples: int,
-        memo: dict[tuple[str, str, Quarter], IcPosterior] | None = None,
-    ):
-        self._store = store
-        self._seed = seed
-        self._n_samples = n_samples
-        self.memo = {} if memo is None else memo
+    def __init__(self, store: ReportStore, seed: int, n_samples: int):
+        self.store = store
+        self.seed = seed
+        self.n_samples = n_samples
+        self._memo: dict[tuple[str, str, Quarter], IcPosterior] = {}
 
     def posterior(self, drug: str, event: str, cutoff: Quarter) -> IcPosterior:
         key = (drug, event, cutoff)
-        hit = self.memo.get(key)
+        hit = self._memo.get(key)
         if hit is None:
-            table = self._store.contingency(drug, event, cutoff)
+            table = self.store.contingency(drug, event, cutoff)
             hit = posterior_ic(
                 table,
-                n_samples=self._n_samples,
-                seed=derive_seed(self._seed, drug, event, cutoff),
+                n_samples=self.n_samples,
+                seed=derive_seed(self.seed, drug, event, cutoff),
             )
-            self.memo[key] = hit
+            self._memo[key] = hit
         return hit
 
 
 @dataclass
 class RunContext:
-    """Shared state for one or more batches over the same store and config."""
+    """Shared state for one or more batches over the same store and config.
+
+    A given cache must be over the same store, seed and n_samples.
+    """
 
     store: ReportStore
     config: RunConfig
     similarity: SimilarityMatrix | None = None
     ontology: Ontology | None = None
-    cache: IcCache = field(init=False)
+    cache: IcCache | None = None
     _neighbor_memo: dict[tuple[str, str], list[tuple[str, float]]] = field(
         default_factory=dict
     )
@@ -163,7 +264,13 @@ class RunContext:
             raise ValidationError("IC_SSM requires a similarity matrix")
         if METHOD_HLGT in self.config.methods and self.ontology is None:
             raise ValidationError("IC_HLGT requires an ontology")
-        self.cache = IcCache(self.store, self.config.seed, self.config.n_samples)
+        cfg = self.config
+        if self.cache is None:
+            self.cache = IcCache(self.store, cfg.seed, cfg.n_samples)
+        elif (self.cache.store, self.cache.seed, self.cache.n_samples) != (
+            self.store, cfg.seed, cfg.n_samples
+        ):
+            raise ValidationError("IC cache is for another store, seed or n_samples")
 
     def neighbors(self, pt: str, mode: str) -> list[tuple[str, float]]:
         key = (pt, mode)
@@ -366,33 +473,3 @@ def write_results_csv(results: list[PairResult], method: str, path: str) -> None
         fh.write(header + "\n")
         for row in result_rows(results, method):
             fh.write(row + "\n")
-
-
-def config_snapshot(cfg: RunConfig) -> str:
-    """Effective configuration as sorted key = value lines."""
-    items = {
-        "methods": ",".join(cfg.methods),
-        "min_ssm": repr(cfg.min_ssm),
-        "w_policy": cfg.w_policy,
-        "w_fixed": repr(cfg.w_fixed),
-        "vague_sd": repr(cfg.vague_sd),
-        "effects": cfg.effects,
-        "include_target_in_reml": str(cfg.include_target_in_reml).lower(),
-        "threshold": repr(cfg.threshold),
-        "n_samples": str(cfg.n_samples),
-        "seed": str(cfg.seed),
-        "min_a": str(cfg.min_a),
-        "threads": str(cfg.threads),
-        "start": "" if cfg.start is None else str(cfg.start),
-        "end": "" if cfg.end is None else str(cfg.end),
-        "drug_filter": ""
-        if cfg.drug_filter is None
-        else ";".join(sorted(cfg.drug_filter)),
-        "rng": RNG_ALGORITHM,
-        "version": __version__,
-    }
-    return "".join(f"{k} = {v}\n" for k, v in sorted(items.items()))
-
-
-def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    return replace(cfg, **overrides)

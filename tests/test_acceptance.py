@@ -208,12 +208,10 @@ def test_group_borrowing_equals_forced_similarity(tmp_path):
     forced = SimilarityMatrix.load_csv(str(forced_path), min_ssm=0.3)
 
     ssm_cfg = RunConfig(
-        methods=(METHOD_SSM,), n_samples=5_000, seed=9,
-        w_policy="fixed", w_fixed=0.8,
+        methods=(METHOD_SSM,), n_samples=5_000, seed=9, w=0.8,
     )
     hlgt_cfg = RunConfig(
-        methods=(METHOD_HLGT,), n_samples=5_000, seed=9,
-        w_policy="fixed", w_fixed=0.8,
+        methods=(METHOD_HLGT,), n_samples=5_000, seed=9, w=0.8,
     )
     via_ssm = run_quarters(
         RunContext(store=store, config=ssm_cfg, similarity=forced, ontology=ontology)

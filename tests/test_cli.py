@@ -168,6 +168,68 @@ def test_config_file_rejects_unknown_key(dataset, tmp_path, capsys):
     assert "unknown config key" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [["--n-samples", "abc"], ["--config", "n_samples = abc\n"]],
+    ids=["flag", "file"],
+)
+def test_bad_config_value_names_key(dataset, tmp_path, capsys, bad):
+    if bad[0] == "--config":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(bad[1])
+        bad = ["--config", str(cfg)]
+    code = main(
+        ["run", "--reports", str(dataset / "reports.tsv"),
+         "--out", str(tmp_path / "x"), "--methods", "IC"] + bad
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2
+    assert "n_samples" in err["message"]
+
+
+def test_empty_drug_filter_is_rejected(dataset, tmp_path, capsys):
+    empty = tmp_path / "drugs.txt"
+    empty.write_text("# no codes\n")
+    out = tmp_path / "x"
+    code = main(
+        ["run", "--reports", str(dataset / "reports.tsv"), "--out", str(out),
+         "--methods", "IC", "--drug-filter", str(empty)] + BASE
+    )
+    assert code == 2
+    assert "drug filter" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config_flags, grid",
+    [
+        ("run", ["--methods", "IC,IC_SSM", "--w", "0.5", "--start", "2015Q2",
+                 "--include-target-in-reml", "--drug-filter", "DRUGS"], []),
+        ("sweep", ["--methods", "IC,IC_SSM", "--w", "0.8"],
+         ["--grid", "w=0.5,max_ssm", "--grid", "threshold=0.5"]),
+    ],
+)
+def test_replay_from_effective_config(dataset, tmp_path, command, config_flags, grid):
+    drugs = tmp_path / "drugs.txt"
+    drugs.write_text("D001\nD000\n")
+    config_flags = [str(drugs) if f == "DRUGS" else f for f in config_flags]
+    io = io_args(dataset, with_reference=command == "sweep")
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(
+        [command] + io + ["--out", str(first)] + grid + config_flags + BASE
+    ) == 0
+    assert main(
+        [command] + io + ["--out", str(replay)] + grid
+        + ["--config", str(first / "effective_config.txt")]
+    ) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in replay.iterdir())
+    assert "effective_config.txt" in names
+    for name in names:
+        assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+
+
 def test_too_few_samples_is_rejected(dataset, tmp_path, capsys):
     code = main(
         ["run", "--reports", str(dataset / "reports.tsv"),

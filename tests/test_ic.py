@@ -5,7 +5,7 @@ import pytest
 
 from icborrow import ContingencyTable, DirichletPrior, posterior_ic, signal_flag
 from icborrow.errors import NumericalError
-from icborrow.ic import PROB_FLOOR, default_prior, normal_approx
+from icborrow.ic import PROB_FLOOR, default_prior
 
 from oracles import exact_ic_mean
 
@@ -157,16 +157,6 @@ def test_shrinkage_below_log_oe_for_elevated_tables():
 def test_depressed_table_has_negative_pme():
     post = posterior_ic(ContingencyTable(5, 95, 95, 805), seed=8)
     assert post.pme < 0.0
-
-
-def test_normal_approx():
-    post = posterior_ic(ContingencyTable(5, 15, 10, 970), n_samples=5000, seed=0)
-    assert normal_approx(post) == (post.pme, post.variance)
-    degenerate = post.__class__(
-        pme=0.0, variance=0.0, ci_low=0.0, ci_high=0.0, n_samples=1000, seed=0
-    )
-    with pytest.raises(NumericalError):
-        normal_approx(degenerate)
 
 
 def test_floor_constant_is_subnormal_boundary():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,8 +21,8 @@ from icborrow.pipeline import (
     IcCache,
     config_snapshot,
     derive_seed,
+    parse_config,
     result_rows,
-    with_overrides,
     write_results_csv,
 )
 from icborrow.synth import basic_scenario, concordant_scenario, generate
@@ -86,21 +87,28 @@ def test_ic_cache_memoizes(six_report_store):
     a = cache.posterior("DRUG", "EV", Q("2015Q3"))
     b = cache.posterior("DRUG", "EV", Q("2015Q3"))
     assert a is b
-    shared = {}
-    c1 = IcCache(six_report_store, 0, 1_500, memo=shared)
-    c2 = IcCache(six_report_store, 0, 1_500, memo=shared)
-    assert c1.posterior("DRUG", "EV", Q("2015Q3")) is c2.posterior(
-        "DRUG", "EV", Q("2015Q3")
-    )
+    cfg = small_config(methods=(METHOD_IC,), seed=0, n_samples=1_500)
+    c1 = RunContext(six_report_store, cfg, cache=cache)
+    c2 = RunContext(six_report_store, replace(cfg, threshold=1.0), cache=cache)
+    assert c1.cache is c2.cache is cache
+    assert c2.cache.posterior("DRUG", "EV", Q("2015Q3")) is a
+    with pytest.raises(ValidationError):
+        RunContext(six_report_store, replace(cfg, seed=1), cache=cache)
+    with pytest.raises(ValidationError):
+        RunContext(six_report_store, replace(cfg, n_samples=2_000), cache=cache)
 
 
 @pytest.mark.parametrize(
     "overrides",
     [
         {"methods": ("IC_BOGUS",)},
-        {"w_policy": "median"},
+        {"w": "median"},
         {"effects": "mixed"},
         {"threads": 0},
+        {"methods": ("IC", "IC")},
+        {"methods": ()},
+        {"w": 1.5},
+        {"drug_filter": frozenset()},
     ],
 )
 def test_config_validation(overrides):
@@ -257,14 +265,19 @@ def test_config_snapshot_round_trip():
     assert got["end"] == ""
     assert got["n_samples"] == "2000"
     assert got["methods"] == "IC,IC_SSM"
+    assert got["w"] == "max_ssm"
+    assert set(got) == {f.name for f in fields(RunConfig)} | {"rng", "version"}
+    assert parse_config(got) == cfg
+    fixed = replace(cfg, w=0.5, include_target_in_reml=True)
+    assert parse_config(dict(
+        line.split(" = ", 1) for line in config_snapshot(fixed).splitlines()
+    )) == fixed
 
 
-def test_with_overrides():
-    cfg = small_config()
-    bumped = with_overrides(cfg, threshold=1.5)
-    assert bumped.threshold == 1.5
-    assert cfg.threshold == 0.0
-    assert bumped.n_samples == cfg.n_samples
+def test_parse_config_checks_provenance():
+    assert parse_config({"version": "0.0.0", "rng": "philox"}) == RunConfig()
+    with pytest.raises(ValidationError, match="rng"):
+        parse_config({"rng": "pcg64"})
 
 
 def test_planted_pairs_alert_near_onset(concordant_run):
