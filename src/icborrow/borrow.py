@@ -12,10 +12,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import norm
 
 from .errors import NumericalError
 from .ic import IcPosterior
@@ -25,6 +24,76 @@ log = logging.getLogger(__name__)
 
 REML_TOL = 1e-8
 REML_MAX_ITER = 200
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float,
+    rtol: float = _BRENT_RTOL,
+    maxiter: int = 100,
+) -> float:
+    """Root of f in [a, b] by Brent's method.
+
+    A step-for-step port of scipy's C ``brentq`` (Brent 1973, ch. 4): the
+    same bracket update, interpolation/extrapolation step, bisection
+    fallback and stopping rule, so it returns the same float. Raises
+    ValueError when f(a) and f(b) share a sign or f returns NaN, and
+    RuntimeError after maxiter iterations without convergence.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("function value is NaN; solver cannot continue")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # The bracket is accepted once it is narrower than 2 * delta.
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant interpolation
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError("function value is NaN; solver cannot continue")
+    raise RuntimeError(
+        f"failed to converge after {maxiter} iterations, value is {xcur}"
+    )
 
 
 @dataclass(frozen=True)
@@ -110,12 +179,12 @@ def reml_tau2(
     else:
         return math.nan, False
     try:
-        root = brentq(
-            _reml_score, 0.0, hi, args=(y, v), xtol=tol, maxiter=max_iter
+        root = _brentq(
+            lambda t: _reml_score(t, y, v), 0.0, hi, xtol=tol, maxiter=max_iter
         )
     except RuntimeError:
         return math.nan, False
-    return float(root), True
+    return root, True
 
 
 def random_effects_map(
@@ -282,13 +351,19 @@ def _mixture_quantile(
     q: float, w: float, mean_1: float, var_1: float, mean_2: float, var_2: float
 ) -> float:
     sd_1, sd_2 = math.sqrt(var_1), math.sqrt(var_2)
+    # Phi((x - mean) / sd) = erfc((mean - x) / (sd * sqrt(2))) / 2
+    scale_1, scale_2 = sd_1 * math.sqrt(2.0), sd_2 * math.sqrt(2.0)
 
-    def cdf(x: float) -> float:
-        return w * norm.cdf(x, mean_1, sd_1) + (1.0 - w) * norm.cdf(x, mean_2, sd_2)
+    def excess(x: float) -> float:
+        return (
+            w * 0.5 * math.erfc((mean_1 - x) / scale_1)
+            + (1.0 - w) * 0.5 * math.erfc((mean_2 - x) / scale_2)
+            - q
+        )
 
     lo = min(mean_1 - 10.0 * sd_1, mean_2 - 10.0 * sd_2)
     hi = max(mean_1 + 10.0 * sd_1, mean_2 + 10.0 * sd_2)
-    return float(brentq(lambda x: cdf(x) - q, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    return _brentq(excess, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 # -- neighbor selection and the full adjustment -------------------------------

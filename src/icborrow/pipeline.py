@@ -78,6 +78,14 @@ class RunConfig:
             raise ValidationError(f"unknown effects model {self.effects!r}")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
+        if self.n_samples < 1000:
+            raise ValidationError(f"n_samples must be >= 1000, got {self.n_samples}")
+        if not 0.0 <= self.min_ssm <= 1.0:
+            raise ValidationError(f"min_ssm must be in [0, 1], got {self.min_ssm}")
+        if not self.vague_sd > 0.0:
+            raise ValidationError(f"vague_sd must be positive, got {self.vague_sd}")
+        if self.min_a < 1:
+            raise ValidationError(f"min_a must be >= 1, got {self.min_a}")
         if self.drug_filter is not None and not self.drug_filter:
             raise ValidationError("drug_filter must name at least one drug")
         if isinstance(self.w, str):

@@ -1,7 +1,10 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.stats import norm
 
 from icborrow import (
     BorrowSource,
@@ -16,7 +19,7 @@ from icborrow import (
     reml_tau2,
     robustify,
 )
-from icborrow.borrow import FIXED, MAX_SSM, candidate_neighbors
+from icborrow.borrow import FIXED, MAX_SSM, _brentq, _reml_score, candidate_neighbors
 from icborrow.errors import NumericalError
 
 from oracles import grid_mixture, grid_reml_tau2
@@ -97,6 +100,49 @@ def test_reml_matches_grid_oracle():
 def test_reml_positive_for_spread_sources():
     tau2, converged = reml_tau2([-2.0, 0.0, 2.0], [0.05, 0.05, 0.05])
     assert converged and tau2 > 1.0
+
+
+def test_brentq_port_matches_scipy_exactly():
+    rng = np.random.default_rng(29)
+    checked = 0
+    while checked < 200:
+        n = int(rng.integers(2, 10))
+        y = rng.normal(0.0, float(rng.uniform(0.2, 2.5)), size=n)
+        v = rng.uniform(0.02, 1.0, size=n)
+        if _reml_score(0.0, y, v) <= 0.0:
+            continue
+        hi = 1.0
+        while _reml_score(hi, y, v) >= 0.0:
+            hi *= 2.0
+        expected = brentq(_reml_score, 0.0, hi, args=(y, v), xtol=1e-8, maxiter=200)
+        got = _brentq(lambda t: _reml_score(t, y, v), 0.0, hi, xtol=1e-8, maxiter=200)
+        assert got == expected
+        checked += 1
+    for _ in range(200):
+        w = float(rng.uniform())
+        m1, m2 = (float(m) for m in rng.normal(0.0, 2.0, size=2))
+        s1, s2 = (float(s) for s in np.sqrt(rng.uniform(0.001, 2.0, size=2)))
+        lo = min(m1 - 10.0 * s1, m2 - 10.0 * s2)
+        hi = max(m1 + 10.0 * s1, m2 + 10.0 * s2)
+        for q in (0.025, 0.975):
+
+            def f(x):
+                return w * norm.cdf(x, m1, s1) + (1 - w) * norm.cdf(x, m2, s2) - q
+
+            expected = brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
+            assert _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16) == expected
+
+
+def test_brentq_errors_and_reml_fallback():
+    with pytest.raises(ValueError):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+    with pytest.raises(RuntimeError):
+        _brentq(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=1e-12, maxiter=2)
+    # A root search that stops early falls back to fixed-effect pooling.
+    ics, vics = [-2.0, 0.0, 2.0], [0.05, 0.05, 0.05]
+    assert reml_tau2(ics, vics)[1]
+    tau2, converged = reml_tau2(ics, vics, max_iter=1)
+    assert math.isnan(tau2) and not converged
 
 
 def test_random_effects_single_source_equals_fixed():
@@ -199,9 +245,28 @@ def test_mixture_matches_quadrature():
         assert post.w_tilde == pytest.approx(w_tilde, abs=1e-4)
 
 
-def test_mixture_cdf_inversion_tolerance():
-    from scipy.stats import norm
+@pytest.mark.parametrize(
+    "mu, v, w, vague_sd, ic, vic",
+    [
+        (0.0, 0.25, 1.0, 2.0, 2.0, 0.25),
+        (-1.3, 0.04, 1.0, 2.0, 0.4, 0.6),
+        (0.0, 0.25, 0.0, 2.0, 1.7, 0.3),
+        (0.9, 0.5, 0.0, 0.5, -2.5, 1e-4),
+    ],
+)
+def test_single_component_bounds_are_normal_quantiles(mu, v, w, vague_sd, ic, vic):
+    # With all mass on one component the posterior is the conjugate normal
+    # update of that component alone.
+    post = mixture_posterior(RobustPrior(mu=mu, v=v, w=w, vague_sd=vague_sd), ic, vic)
+    prior_mean, prior_var = (mu, v) if w == 1.0 else (0.0, vague_sd**2)
+    var = 1.0 / (1.0 / prior_var + 1.0 / vic)
+    mean = var * (prior_mean / prior_var + ic / vic)
+    z = statistics.NormalDist().inv_cdf(0.975)
+    assert post.ci_low == pytest.approx(mean - z * math.sqrt(var), abs=1e-9)
+    assert post.ci_high == pytest.approx(mean + z * math.sqrt(var), abs=1e-9)
 
+
+def test_mixture_cdf_inversion_tolerance():
     prior = RobustPrior(mu=0.5, v=0.2, w=0.7, vague_sd=2.0)
     post = mixture_posterior(prior, ic_target=1.2, vic_target=0.3)
 

@@ -188,6 +188,27 @@ def test_bad_config_value_names_key(dataset, tmp_path, capsys, bad):
     assert "n_samples" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [("--n-samples", "999", "n_samples"), ("--min-ssm", "7", "min_ssm"),
+     ("--vague-sd", "-1", "vague_sd"), ("--min-a", "-3", "min_a")],
+)
+def test_out_of_range_config_fails_before_loading(
+    tmp_path, capsys, flag, value, key
+):
+    # The reports file does not exist: only a config check that runs before
+    # loading can give exit 2 here instead of the I/O error's exit 1.
+    out = tmp_path / "x"
+    code = main(
+        ["run", "--reports", str(tmp_path / "missing.tsv"), "--out", str(out),
+         "--methods", "IC", flag, value]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and key in err["message"]
+    assert not out.exists()
+
+
 def test_empty_drug_filter_is_rejected(dataset, tmp_path, capsys):
     empty = tmp_path / "drugs.txt"
     empty.write_text("# no codes\n")
@@ -311,3 +332,16 @@ def test_console_script_is_installed():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; importing it would cost every
+    # invocation about a second of start-up.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import icborrow.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -109,6 +109,13 @@ def test_ic_cache_memoizes(six_report_store):
         {"methods": ()},
         {"w": 1.5},
         {"drug_filter": frozenset()},
+        {"n_samples": 999},
+        {"min_ssm": 7.0},
+        {"min_ssm": -0.1},
+        {"vague_sd": -1.0},
+        {"vague_sd": 0.0},
+        {"min_a": -3},
+        {"min_a": 0},
     ],
 )
 def test_config_validation(overrides):
