@@ -23,6 +23,7 @@ from .evaluate import (
     parameter_sweep,
     quarterly_curves,
     score,
+    sweep_points,
     write_bootstrap_json,
     write_compare_csv,
     write_metrics_csv,
@@ -287,10 +288,11 @@ def _parse_grid(items: list[str]) -> dict[str, list]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    grid = _parse_grid(args.grid)
+    sweep_points(config, grid)  # a bad grid fails before any data is read
     entries = load_reference(args.reference)
     ontology = load_ontology(args.ontology) if args.ontology else None
     store = load_reports(args.reports, ontology)
-    grid = _parse_grid(args.grid)
     rows = parameter_sweep(
         store,
         entries,

@@ -384,9 +384,7 @@ def parameter_sweep(
     reference point is prepended to every axis so each sweep contains it.
     Monte Carlo work is shared across points through a common cache.
     """
-    for key in grid:
-        if key not in SWEEP_PARAMS:
-            raise ValidationError(f"unknown sweep parameter {key!r}")
+    points = sweep_points(config, grid)
     needs_sim = METHOD_SSM in config.methods
     if needs_sim and similarity is None:
         if ontology is None:
@@ -396,6 +394,36 @@ def parameter_sweep(
 
     cache = IcCache(store, config.seed, config.n_samples)
     rows: list[SweepRow] = []
+    for param, value, cfg in points:
+        ctx = RunContext(
+            store, cfg, similarity=similarity, ontology=ontology, cache=cache
+        )
+        run = run_quarters(ctx)
+        for method in cfg.methods:
+            report = score(
+                run.first_alerts[method], entries, strict_before=strict_before
+            )
+            rows.append(
+                SweepRow(
+                    param=param, value=_sweep_label(value), method=method,
+                    report=report,
+                )
+            )
+    return rows
+
+
+def sweep_points(
+    config: RunConfig, grid: dict[str, list]
+) -> list[tuple[str, object, RunConfig]]:
+    """(param, value, config) for every sweep point, in sweep order.
+
+    Builds every point's RunConfig up front, so a bad grid key or value
+    fails before any data is screened.
+    """
+    for key in grid:
+        if key not in SWEEP_PARAMS:
+            raise ValidationError(f"unknown sweep parameter {key!r}")
+    points = []
     for param in SWEEP_PARAMS:
         if param not in grid:
             continue
@@ -404,22 +432,8 @@ def parameter_sweep(
         if reference_value not in values:
             values = [reference_value] + values
         for value in values:
-            cfg = replace(config, **{param: value})
-            ctx = RunContext(
-                store, cfg, similarity=similarity, ontology=ontology, cache=cache
-            )
-            run = run_quarters(ctx)
-            for method in cfg.methods:
-                report = score(
-                    run.first_alerts[method], entries, strict_before=strict_before
-                )
-                rows.append(
-                    SweepRow(
-                        param=param, value=_sweep_label(value), method=method,
-                        report=report,
-                    )
-                )
-    return rows
+            points.append((param, value, replace(config, **{param: value})))
+    return points
 
 
 def _sweep_label(value) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import CycleError, ValidationError
@@ -384,14 +385,37 @@ class SimilarityMatrix:
 def build_similarity(
     ont: Ontology, pts: list[str] | None = None, min_ssm: float = 0.3
 ) -> SimilarityMatrix:
-    """All-pairs Sokal-Sneath over the given PTs, keeping values > min_ssm.
+    """Sokal-Sneath over the given PTs, keeping values > min_ssm.
 
+    Only pairs that can clear the threshold are scored. The MICA is an
+    ancestor of both codes and intrinsic IC falls strictly towards the
+    root, so its IC m is at most ic(a) and ic(b); then ssm <= m / (2*ic(a) - m),
+    and ssm > t needs m > 2*t*ic(a) / (1 + t). Each b > a sharing an
+    ancestor above that bound with a is scored; every other pair scores at
+    most t. The kept pairs and values equal those of an all-pairs scan.
     Output is independent of the input ordering of pts.
     """
+    if not min_ssm >= 0.0:
+        raise ValidationError(f"min_ssm must be >= 0, got {min_ssm!r}")
     codes = sorted(set(pts if pts is not None else ont.pts()))
     out = SimilarityMatrix(min_ssm=min_ssm)
-    for i, a in enumerate(codes):
-        for b in codes[i + 1 :]:
+    if len(codes) < 2:
+        return out
+    members: dict[str, list[str]] = {}  # ancestor -> sorted codes under it
+    for code in codes:
+        for anc in ont.ancestors(code):  # raises on an unknown code
+            members.setdefault(anc, []).append(code)
+    ic = ont.intrinsic_ic()
+    for a in codes:
+        # The slack keeps the bound conservative under rounding; a shared
+        # ancestor of IC 0 gives ssm 0, which never clears min_ssm >= 0.
+        floor = max(2.0 * min_ssm * ic[a] / (1.0 + min_ssm) - 1e-12, 0.0)
+        candidates: set[str] = set()
+        for anc in ont.ancestors(a):
+            if ic[anc] > floor:
+                group = members[anc]
+                candidates.update(group[bisect_right(group, a) :])
+        for b in sorted(candidates):
             s = ont.sokal_sneath(a, b)
             if s > min_ssm:
                 out._put(a, b, s)

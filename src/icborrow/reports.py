@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import logging
-from collections import Counter
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 from .ontology import Ontology
@@ -60,87 +63,162 @@ class ContingencyTable:
         return self.a / expected
 
 
-class _Snapshot:
-    """Cumulative counts over all reports up to an inclusive cutoff."""
+class _Columns:
+    """Reports as flat integer columns, filled one report at a time.
 
-    __slots__ = ("pair", "drug", "event", "n")
+    Drug and event codes are numbered on first sight. Per record it keeps
+    the quarter ordinal and how many drugs and events the report names;
+    the codes themselves go into two flat buffers in record order.
+    """
 
     def __init__(self) -> None:
-        self.pair: Counter = Counter()
-        self.drug: Counter = Counter()
-        self.event: Counter = Counter()
-        self.n = 0
+        self.drug_codes: dict[str, int] = {}
+        self.event_codes: dict[str, int] = {}
+        self.quarter = array("q")
+        self.n_drugs = array("q")
+        self.n_events = array("q")
+        self.drugs = array("q")
+        self.events = array("q")
 
-    def copy(self) -> "_Snapshot":
-        out = _Snapshot()
-        out.pair = self.pair.copy()
-        out.drug = self.drug.copy()
-        out.event = self.event.copy()
-        out.n = self.n
-        return out
+    def add(self, quarter: int, drugs, events) -> int:
+        """Append one report (distinct codes); returns its record index."""
+        dc, ec = self.drug_codes, self.event_codes
+        self.quarter.append(quarter)
+        self.n_drugs.append(len(drugs))
+        self.n_events.append(len(events))
+        self.drugs.extend([dc.setdefault(d, len(dc)) for d in drugs])
+        self.events.extend([ec.setdefault(e, len(ec)) for e in events])
+        return len(self.quarter) - 1
 
-    def add(self, report: Report) -> None:
-        self.n += 1
-        for d in report.drugs:
-            self.drug[d] += 1
-        for e in report.events:
-            self.event[e] += 1
-        for d in report.drugs:
-            for e in report.events:
-                self.pair[(d, e)] += 1
+
+def _sorted_codes(codes: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """Names in sorted order, and the map from first-sight code to sorted rank."""
+    names = list(codes)  # first-sight order is code order
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(names), dtype=np.int64)
+    return [names[i] for i in order], rank
+
+
+def _cumulative(
+    keys: np.ndarray, quarter_idx: np.ndarray, n_keys: int, n_q: int
+) -> np.ndarray:
+    """[n_keys, n_q] counts of (key, quarter) incidences, cumulative over quarters."""
+    flat = np.bincount(keys * n_q + quarter_idx, minlength=n_keys * n_q)
+    return flat.reshape(n_keys, n_q).cumsum(axis=1)
+
+
+def _ints(buf: array) -> np.ndarray:
+    return np.frombuffer(buf, dtype=np.int64)
 
 
 class ReportStore:
-    """Reports bucketed by quarter with cached cumulative snapshots."""
+    """Cumulative report counts per quarter, held as integer arrays.
+
+    Drugs and events are numbered in sorted order. For every stored quarter
+    the store keeps the number of reports, of reports naming each drug, each
+    event and each co-reported (drug, event) pair, all cumulative over
+    quarters, so a contingency table at any cutoff is a few lookups.
+    """
 
     def __init__(self, reports: list[Report], warnings: list[str] | None = None):
-        self.reports = reports
-        self.load_warnings = warnings or []
-        self._buckets: dict[Quarter, list[Report]] = {}
+        cols = _Columns()
         for r in reports:
-            self._buckets.setdefault(r.quarter, []).append(r)
-        self._snapshots: dict[Quarter, _Snapshot] = {}
+            cols.add(r.quarter.ordinal, r.drugs, r.events)
+        self._tabulate(cols, np.ones(len(reports), dtype=bool))
+        self.load_warnings = warnings or []
+
+    @classmethod
+    def _from_columns(
+        cls, cols: _Columns, alive: np.ndarray, warnings: list[str]
+    ) -> "ReportStore":
+        store = cls.__new__(cls)
+        store._tabulate(cols, alive)
+        store.load_warnings = warnings
+        return store
+
+    def _tabulate(self, cols: _Columns, alive: np.ndarray) -> None:
+        """Count the records whose alive flag is set."""
+        rec_q = _ints(cols.quarter)
+        n_drugs, n_events = _ints(cols.n_drugs), _ints(cols.n_events)
+        self._drug_names, drug_rank = _sorted_codes(cols.drug_codes)
+        self._event_names, event_rank = _sorted_codes(cols.event_codes)
+        self._drug_index = {d: i for i, d in enumerate(self._drug_names)}
+        self._event_index = {e: i for i, e in enumerate(self._event_names)}
+        n_d, n_e = len(self._drug_names), len(self._event_names)
+
+        ordinals = np.unique(rec_q[alive])
+        self._ordinals = ordinals.tolist()
+        self._quarters = [Quarter.from_ordinal(o) for o in self._ordinals]
+        n_q = len(self._ordinals)
+        rec_qi = np.searchsorted(ordinals, rec_q)
+        self._n = np.bincount(rec_qi[alive], minlength=n_q).cumsum()
+        self._n_reports = int(alive.sum())
+
+        # One row per (record, drug) incidence; keep the alive records.
+        d_rec = np.repeat(np.arange(len(rec_q)), n_drugs)
+        d_keep = alive[d_rec]
+        d_rec, d_code = d_rec[d_keep], drug_rank[_ints(cols.drugs)][d_keep]
+        e_rec = np.repeat(np.arange(len(rec_q)), n_events)
+        e_code_all = event_rank[_ints(cols.events)]
+        e_keep = alive[e_rec]
+        self._drug = _cumulative(d_code, rec_qi[d_rec], n_d, n_q)
+        self._event = _cumulative(
+            e_code_all[e_keep], rec_qi[e_rec[e_keep]], n_e, n_q
+        )
+
+        # (record, drug, event): each alive drug incidence once per event of
+        # its record; `within` runs 0..k-1 over the record's k events.
+        reps = n_events[d_rec]
+        within = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+        e_start = np.cumsum(n_events) - n_events
+        p_event = e_code_all[np.repeat(e_start[d_rec], reps) + within]
+        p_key = np.repeat(d_code, reps) * n_e + p_event
+        self._pair_keys, pair_idx = np.unique(p_key, return_inverse=True)
+        self._pair = _cumulative(
+            pair_idx.ravel(), rec_qi[np.repeat(d_rec, reps)], len(self._pair_keys), n_q
+        )
 
     def __len__(self) -> int:
-        return len(self.reports)
+        return self._n_reports
 
     def quarters(self) -> list[Quarter]:
-        return sorted(self._buckets)
+        return list(self._quarters)
 
-    def _snapshot(self, cutoff: Quarter) -> _Snapshot:
-        hit = self._snapshots.get(cutoff)
-        if hit is not None:
-            return hit
-        snap = _Snapshot()
-        # Build from the latest cached earlier snapshot when there is one.
-        base = max(
-            (q for q in self._snapshots if q < cutoff), default=None
-        )
-        start = Quarter(1, 1)
-        if base is not None:
-            snap = self._snapshots[base].copy()
-            start = base + 1
-        for q in self.quarters():
-            if start <= q <= cutoff:
-                for r in self._buckets[q]:
-                    snap.add(r)
-        self._snapshots[cutoff] = snap
-        return snap
+    def _quarter_index(self, cutoff: Quarter) -> int:
+        """Index of the last stored quarter <= cutoff, or -1."""
+        return bisect_right(self._ordinals, cutoff.ordinal) - 1
 
     def contingency(self, drug: str, event: str, cutoff: Quarter) -> ContingencyTable:
         """2x2 table over all reports with quarter <= cutoff."""
-        snap = self._snapshot(cutoff)
-        if snap.n == 0:
+        qi = self._quarter_index(cutoff)
+        if qi < 0:
             raise ValidationError(f"no reports at or before {cutoff}")
-        a = snap.pair.get((drug, event), 0)
-        b = snap.drug.get(drug, 0) - a
-        c = snap.event.get(event, 0) - a
-        return ContingencyTable(a=a, b=b, c=c, d=snap.n - a - b - c)
+        di = self._drug_index.get(drug)
+        ei = self._event_index.get(event)
+        a = 0
+        if di is not None and ei is not None:
+            key = di * len(self._event_names) + ei
+            k = int(self._pair_keys.searchsorted(key))
+            if k < len(self._pair_keys) and self._pair_keys.item(k) == key:
+                a = self._pair.item(k, qi)
+        b = (self._drug.item(di, qi) if di is not None else 0) - a
+        c = (self._event.item(ei, qi) if ei is not None else 0) - a
+        return ContingencyTable(a=a, b=b, c=c, d=self._n.item(qi) - a - b - c)
 
     def active_pairs(self, cutoff: Quarter, min_a: int = 1) -> list[tuple[str, str]]:
         """(drug, event) pairs with a >= min_a at cutoff, sorted."""
-        snap = self._snapshot(cutoff)
-        return sorted(p for p, count in snap.pair.items() if count >= min_a)
+        qi = self._quarter_index(cutoff)
+        if qi < 0:
+            return []
+        # Pairs first reported after the cutoff count 0 there: never active.
+        keys = self._pair_keys[self._pair[:, qi] >= max(min_a, 1)]
+        n_e = len(self._event_names)
+        drugs, events = self._drug_names, self._event_names
+        return [
+            (drugs[d], events[e])
+            for d, e in zip((keys // n_e).tolist(), (keys % n_e).tolist())
+        ]
 
 
 def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
@@ -151,15 +229,16 @@ def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
     (logged). Unknown PT codes are kept but warned about when an ontology
     is supplied. Malformed rows reject the whole file with a line number.
     """
-    records: dict[str, Report] = {}
+    cols = _Columns()
     warnings: list[str] = []
-    dup_lines: dict[str, int] = {}
-    unknown_pts: set[str] = set()
-    known_pts = set(ontology.pts()) if ontology is not None else None
+    latest: dict[str, int] = {}  # report id -> record index of its last line
+    record_line = array("q")
+    quarter_memo: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+            head = line.lstrip()
+            if not head or head[0] == "#":
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
@@ -169,29 +248,37 @@ def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
             report_id, quarter_text, drug_field, event_field = fields
             if not report_id:
                 raise ValidationError(f"{path}:{lineno}: empty report id")
-            try:
-                quarter = Quarter.parse(quarter_text)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            drugs = frozenset(tok for tok in drug_field.split(";") if tok)
-            events = frozenset(tok for tok in event_field.split(";") if tok)
+            quarter = quarter_memo.get(quarter_text)
+            if quarter is None:
+                try:
+                    quarter = Quarter.parse(quarter_text).ordinal
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
+                quarter_memo[quarter_text] = quarter
+            drugs = set(drug_field.split(";"))
+            drugs.discard("")
+            events = set(event_field.split(";"))
+            events.discard("")
             if not drugs or not events:
                 raise ValidationError(
                     f"{path}:{lineno}: report needs at least one drug and one event"
                 )
-            if known_pts is not None:
-                unknown_pts |= events - known_pts
-            if report_id in records:
+            record = cols.add(quarter, drugs, events)
+            record_line.append(lineno)
+            previous = latest.get(report_id)
+            if previous is not None:
                 msg = (
                     f"duplicate report id {report_id!r} at line {lineno} replaces "
-                    f"line {dup_lines[report_id]}"
+                    f"line {record_line[previous]}"
                 )
                 log.warning("%s: %s", path, msg)
                 warnings.append(msg)
-            records[report_id] = Report(report_id, quarter, drugs, events)
-            dup_lines[report_id] = lineno
-    for code in sorted(unknown_pts):
-        msg = f"event code {code!r} not present in the ontology"
-        log.warning("%s: %s", path, msg)
-        warnings.append(msg)
-    return ReportStore(list(records.values()), warnings)
+            latest[report_id] = record
+    if ontology is not None:
+        for code in sorted(set(cols.event_codes) - set(ontology.pts())):
+            msg = f"event code {code!r} not present in the ontology"
+            log.warning("%s: %s", path, msg)
+            warnings.append(msg)
+    alive = np.zeros(len(record_line), dtype=bool)
+    alive[np.fromiter(latest.values(), dtype=np.int64, count=len(latest))] = True
+    return ReportStore._from_columns(cols, alive, warnings)

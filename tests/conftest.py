@@ -91,3 +91,15 @@ def make_store(rows: list[tuple[str, str, set, set]]) -> ReportStore:
             for rid, q, drugs, events in rows
         ]
     )
+
+
+def all_pairs_similarity(ont: Ontology, codes: list[str], min_ssm: float) -> dict:
+    """{(a, b): ssm} with a < b over every pair of codes, each one scored."""
+    codes = sorted(set(codes))
+    out = {}
+    for i, a in enumerate(codes):
+        for b in codes[i + 1 :]:
+            s = ont.sokal_sneath(a, b)
+            if s > min_ssm:
+                out[(a, b)] = s
+    return out

@@ -242,7 +242,7 @@ def test_group_borrowing_equals_forced_similarity(tmp_path):
 def test_similarity_search_against_brute_force():
     t0 = time.perf_counter()
     ok = True
-    n_pairs = 0
+    n_pairs = n_kept = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
         parents = random_dag(rng, 50)
@@ -251,6 +251,7 @@ def test_similarity_search_against_brute_force():
 
         ics = seco_ic(parents, codes)
         ancestors = {c: bfs_ancestors(parents, c) for c in codes}
+        above = {}  # all-pairs reference for the pruned build at 0.3
         for i, a in enumerate(codes):
             ok = ok and ont.sokal_sneath(a, a) == 1.0
             for b in codes[i + 1 :]:
@@ -261,12 +262,18 @@ def test_similarity_search_against_brute_force():
                 s_ab = ont.sokal_sneath(a, b)
                 ok = ok and 0.0 <= s_ab <= 1.0
                 ok = ok and s_ab == ont.sokal_sneath(b, a)
+                if s_ab > 0.3:
+                    above[(a, b)] = s_ab
                 n_pairs += 1
+        matrix = build_similarity(ont, pts=codes, min_ssm=0.3)
+        kept = {(a, b): s for a in codes for b, s in matrix.neighbors(a) if a < b}
+        ok = ok and kept == above
+        n_kept += len(kept)
     elapsed = time.perf_counter() - t0
     _gate(
         "similarity search vs brute force",
         ok and elapsed < 60.0,
-        f"{n_pairs} pairs across 100 graphs, {elapsed:.1f}s",
+        f"{n_pairs} pairs across 100 graphs, {n_kept} kept at 0.3, {elapsed:.1f}s",
     )
 
 

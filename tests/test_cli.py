@@ -209,6 +209,21 @@ def test_out_of_range_config_fails_before_loading(
     assert not out.exists()
 
 
+def test_bad_sweep_grid_fails_before_loading(tmp_path, capsys):
+    # Every sweep point's config is checked before the (missing) reports
+    # file is opened, so this is exit 2, not the I/O error's exit 1.
+    out = tmp_path / "x"
+    code = main(
+        ["sweep", "--reports", str(tmp_path / "missing.tsv"),
+         "--reference", str(tmp_path / "missing_ref.tsv"), "--out", str(out),
+         "--methods", "IC", "--grid", "vague_sd=-1"]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "vague_sd" in err["message"]
+    assert not out.exists()
+
+
 def test_empty_drug_filter_is_rejected(dataset, tmp_path, capsys):
     empty = tmp_path / "drugs.txt"
     empty.write_text("# no codes\n")

@@ -295,6 +295,20 @@ def test_parameter_sweep_rejects_unknown_param(sweep_inputs):
         parameter_sweep(store, entries, config, {"n_samples": [100]})
 
 
+def test_parameter_sweep_checks_every_point_before_screening(
+    sweep_inputs, monkeypatch
+):
+    store, entries = sweep_inputs
+
+    def no_screening(*args, **kwargs):
+        raise AssertionError("run_quarters called before the grid was checked")
+
+    monkeypatch.setattr("icborrow.evaluate.run_quarters", no_screening)
+    config = RunConfig(methods=("IC",), n_samples=2_000)
+    with pytest.raises(ValidationError, match="vague_sd"):
+        parameter_sweep(store, entries, config, {"vague_sd": [1.0, -1.0]})
+
+
 def test_write_metrics_csv(tmp_path):
     curves = {
         "IC": {

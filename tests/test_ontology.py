@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from icborrow import SimilarityMatrix, build_similarity, load_ontology
 from icborrow.errors import CycleError, ValidationError
 
-from conftest import make_ontology
+from conftest import all_pairs_similarity, make_ontology
 from oracles import brute_mica_ic, brute_sokal, random_dag, seco_ic
 
 # Root plus A and B, with X under both (multi-parent), Y under A, Z under B.
@@ -215,3 +215,38 @@ def test_random_dags_match_brute_force(seed, n_nodes):
             assert s == pytest.approx(brute_sokal(parents, codes, a, b), abs=1e-12)
             assert 0.0 <= s <= 1.0
             assert s == pytest.approx(ont.sokal_sneath(b, a), abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(2, 30),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+)
+def test_pruned_similarity_equals_all_pairs(seed, n_nodes, extra_roots, min_ssm):
+    rng = np.random.default_rng(seed)
+    parents = random_dag(rng, n_nodes)
+    codes = ["C000"] + sorted(parents)
+    # Cut some nodes loose from their parents: each becomes one more root.
+    for code in rng.choice(codes[1:], size=min(extra_roots, n_nodes - 1), replace=False):
+        del parents[str(code)]
+    pt_codes = [c for c in codes if rng.random() < 0.6]
+    subset = [c for c in codes if rng.random() < 0.5]
+    ont = make_ontology(parents, codes, levels={c: "PT" for c in pt_codes})
+    for pts, matrix in (
+        (pt_codes, build_similarity(ont, min_ssm=min_ssm)),
+        (subset, build_similarity(ont, pts=subset, min_ssm=min_ssm)),
+    ):
+        kept = {(a, b): s for a in pts for b, s in matrix.neighbors(a) if a < b}
+        assert kept == all_pairs_similarity(ont, pts, min_ssm)
+        assert matrix.n_pairs() == len(kept)
+        for (a, b), s in kept.items():
+            assert abs(s - brute_sokal(parents, codes, a, b)) <= 1e-12
+
+
+def test_similarity_rejects_negative_threshold(chain_ontology):
+    # Below 0 every pair would clear the threshold, even ones with no
+    # common ancestor, which the ancestor index never pairs up.
+    with pytest.raises(ValidationError):
+        build_similarity(chain_ontology, min_ssm=-0.1)

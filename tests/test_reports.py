@@ -83,8 +83,12 @@ def test_dedup_last_wins(tmp_path, caplog):
     )
     store = load_reports(str(path))
     assert len(store) == 1
-    assert store.reports[0].quarter == Q("2015Q2")
-    assert store.reports[0].drugs == frozenset({"D2"})
+    # Only the second line counts: R1 at 2015Q2 with D2 and E2.
+    assert store.quarters() == [Q("2015Q2")]
+    t = store.contingency("D2", "E2", Q("2015Q2"))
+    assert (t.a, t.b, t.c, t.d) == (1, 0, 0, 0)
+    t = store.contingency("D1", "E1", Q("2015Q2"))
+    assert (t.a, t.b, t.c, t.d) == (0, 0, 0, 1)
     assert len(store.load_warnings) == 1
     assert "R1" in store.load_warnings[0]
 
@@ -115,7 +119,9 @@ def test_unknown_pt_warns_but_keeps(tmp_path, chain_ontology):
     store = load_reports(str(path), chain_ontology)
     assert len(store) == 1
     assert any("MYSTERY" in w for w in store.load_warnings)
-    assert store.reports[0].events == frozenset({"L1", "MYSTERY"})
+    for event in ("L1", "MYSTERY"):
+        t = store.contingency("D1", event, Q("2015Q1"))
+        assert (t.a, t.b, t.c, t.d) == (1, 0, 0, 0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -139,3 +145,59 @@ def test_indexed_counts_match_full_rescan(seed):
                 t = store.contingency(drug, event, cutoff)
                 assert (t.a, t.b, t.c, t.d) == rescan_table(raw, drug, event, cutoff)
                 assert t.n == sum(1 for q, _, _ in raw if q <= cutoff)
+
+
+GAPPED_QUARTERS = ["2015Q1", "2015Q3", "2016Q2"]
+# Stored quarters, cutoffs between them, and one after the last.
+CUTOFFS = ["2015Q1", "2015Q2", "2015Q3", "2016Q1", "2016Q2", "2017Q4"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_loaded_counts_match_rescan_across_gaps_and_duplicates(tmp_path_factory, seed):
+    rng = np.random.default_rng(seed)
+    drugs = [f"D{i}" for i in range(4)]
+    events = [f"E{i}" for i in range(6)]
+    lines = []
+    latest = {}  # report id -> its last row: the one load_reports keeps
+    for _ in range(int(rng.integers(1, 120))):
+        rid = f"R{int(rng.integers(0, 60))}"
+        q = GAPPED_QUARTERS[int(rng.integers(0, 3))]
+        # Drawn with replacement, so a report can name a code twice (D1;D1).
+        ds = [str(x) for x in rng.choice(drugs, size=int(rng.integers(1, 4)))]
+        es = [str(x) for x in rng.choice(events, size=int(rng.integers(1, 4)))]
+        lines.append(f"{rid}\t{q}\t{';'.join(ds)}\t{';'.join(es)}\n")
+        latest[rid] = (q, set(ds), set(es))
+    path = tmp_path_factory.mktemp("gaps") / "reports.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    loaded = load_reports(str(path))
+    rows = [(rid, q, ds, es) for rid, (q, ds, es) in latest.items()]
+    built = make_store(rows)
+    raw = [(Q(q), ds, es) for _, q, ds, es in rows]
+
+    assert len(loaded) == len(built) == len(latest)
+    stored = sorted({quarter for quarter, _, _ in raw})
+    assert loaded.quarters() == built.quarters() == stored
+    for text in ["2014Q4"] + CUTOFFS:
+        cutoff = Q(text)
+        if cutoff < stored[0]:
+            for store in (loaded, built):
+                with pytest.raises(ValidationError):
+                    store.contingency("D0", "E0", cutoff)
+                assert store.active_pairs(cutoff) == []
+            continue
+        for drug in drugs + ["NO_DRUG"]:
+            for event in events + ["NO_EVENT"]:
+                want = rescan_table(raw, drug, event, cutoff)
+                for store in (loaded, built):
+                    t = store.contingency(drug, event, cutoff)
+                    assert (t.a, t.b, t.c, t.d) == want
+        for min_a in (1, 2, 3):
+            brute = sorted(
+                (d, e)
+                for d in drugs
+                for e in events
+                if rescan_table(raw, d, e, cutoff)[0] >= min_a
+            )
+            assert loaded.active_pairs(cutoff, min_a) == brute
+            assert built.active_pairs(cutoff, min_a) == brute
