@@ -19,13 +19,11 @@ from .borrow import (
     MapPrior,
     MixturePosterior,
     RobustPrior,
-    WeightPolicy,
     borrow,
     fixed_effect_map,
     mixture_posterior,
     random_effects_map,
     reml_tau2,
-    robustify,
 )
 from .errors import CycleError, NumericalError, ValidationError
 from .evaluate import (
@@ -53,7 +51,7 @@ from .pipeline import (
     run_quarters,
 )
 from .quarters import Quarter, quarter_range
-from .reports import ContingencyTable, Report, ReportStore, load_reports
+from .reports import ContingencyTable, ReportStore, load_reports
 from .synth import (
     ClusterSpec,
     PlantedSignal,
@@ -87,7 +85,6 @@ __all__ = [
     "PlantedSignal",
     "Quarter",
     "ReferenceEntry",
-    "Report",
     "ReportStore",
     "RobustPrior",
     "RunConfig",
@@ -95,7 +92,6 @@ __all__ = [
     "Scenario",
     "SimilarityMatrix",
     "ValidationError",
-    "WeightPolicy",
     "basic_scenario",
     "bootstrap",
     "borrow",
@@ -118,7 +114,6 @@ __all__ = [
     "quarterly_curves",
     "random_effects_map",
     "reml_tau2",
-    "robustify",
     "run_batch",
     "run_quarters",
     "score",

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import NumericalError
 from .ic import IcPosterior
-from .ontology import Ontology, SimilarityMatrix
 
 log = logging.getLogger(__name__)
 
@@ -123,24 +122,29 @@ class MapPrior:
     converged: bool = True
 
 
-def fixed_effect_map(sources: list[BorrowSource]) -> MapPrior:
-    """Similarity-weighted fixed-effect pooling of the sources.
+def _pool(sources: list[BorrowSource], tau2: float) -> MapPrior:
+    """Similarity-weighted pooling with each vic_s replaced by vic_s + tau2.
 
-    mu = sum(ssm_s/vic_s * ic_s) / sum(ssm_s/vic_s)
-    v  = sum(ssm_s^2/vic_s) / (sum(ssm_s/vic_s))^2
+    mu = sum(ssm_s/(vic_s+tau2) * ic_s) / sum(ssm_s/(vic_s+tau2))
+    v  = sum(ssm_s^2/(vic_s+tau2)) / (sum(ssm_s/(vic_s+tau2)))^2
     """
-    if not sources:
-        raise ValueError("fixed_effect_map needs at least one source")
-    w = np.array([s.ssm / s.vic for s in sources])
+    w = np.array([s.ssm / (s.vic + tau2) for s in sources])
+    w2 = np.array([s.ssm * s.ssm / (s.vic + tau2) for s in sources])
     ic = np.array([s.ic for s in sources])
-    w2 = np.array([s.ssm * s.ssm / s.vic for s in sources])
     denom = w.sum()
     return MapPrior(
         mu=float((w * ic).sum() / denom),
         v=float(w2.sum() / denom**2),
-        tau2=0.0,
+        tau2=tau2,
         s_count=len(sources),
     )
+
+
+def fixed_effect_map(sources: list[BorrowSource]) -> MapPrior:
+    """Similarity-weighted fixed-effect pooling of the sources: tau^2 = 0."""
+    if not sources:
+        raise ValueError("fixed_effect_map needs at least one source")
+    return _pool(sources, 0.0)
 
 
 def _reml_score(tau2: float, y: np.ndarray, v: np.ndarray) -> float:
@@ -213,44 +217,14 @@ def random_effects_map(
             "falling back to fixed-effect pooling",
             len(sources),
         )
-        fixed = fixed_effect_map(sources)
-        return MapPrior(fixed.mu, fixed.v, 0.0, fixed.s_count, converged=False)
-    w = np.array([s.ssm / (s.vic + tau2) for s in sources])
-    w2 = np.array([s.ssm * s.ssm / (s.vic + tau2) for s in sources])
-    ic = np.array([s.ic for s in sources])
-    denom = w.sum()
-    return MapPrior(
-        mu=float((w * ic).sum() / denom),
-        v=float(w2.sum() / denom**2),
-        tau2=tau2,
-        s_count=len(sources),
-    )
+        return replace(_pool(sources, 0.0), converged=False)
+    return _pool(sources, tau2)
 
 
 # -- robustification and the mixture update ----------------------------------
 
+# The ``w`` value that sets the informative weight to the largest source ssm.
 MAX_SSM = "max_ssm"
-FIXED = "fixed"
-
-
-@dataclass(frozen=True)
-class WeightPolicy:
-    """How much mass the informative component gets: max source similarity,
-    or a fixed value."""
-
-    kind: str = MAX_SSM
-    value: float = 0.8
-
-    def __post_init__(self) -> None:
-        if self.kind not in (MAX_SSM, FIXED):
-            raise ValueError(f"unknown weight policy {self.kind!r}")
-        if self.kind == FIXED and not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"fixed weight must be in [0, 1], got {self.value}")
-
-    def weight(self, sources: list[BorrowSource]) -> float:
-        if self.kind == FIXED:
-            return self.value
-        return max(s.ssm for s in sources)
 
 
 @dataclass(frozen=True)
@@ -267,18 +241,6 @@ class RobustPrior:
             raise ValueError(f"mixture weight must be in [0, 1], got {self.w}")
         if self.vague_sd <= 0.0 or self.v <= 0.0:
             raise ValueError("prior variances must be positive")
-
-
-def robustify(
-    map_prior: MapPrior,
-    sources: list[BorrowSource],
-    policy: WeightPolicy | None = None,
-    vague_sd: float = 2.0,
-) -> RobustPrior:
-    policy = policy or WeightPolicy()
-    return RobustPrior(
-        mu=map_prior.mu, v=map_prior.v, w=policy.weight(sources), vague_sd=vague_sd
-    )
 
 
 @dataclass(frozen=True)
@@ -366,37 +328,7 @@ def _mixture_quantile(
     return _brentq(excess, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
-# -- neighbor selection and the full adjustment -------------------------------
-
-MODE_SSM = "ssm"
-MODE_HLGT = "hlgt"
-
-
-def candidate_neighbors(
-    target_pt: str,
-    mode: str,
-    similarity: SimilarityMatrix | None = None,
-    ontology: Ontology | None = None,
-    min_ssm: float = 0.3,
-) -> list[tuple[str, float]]:
-    """(pt, ssm) borrowing candidates for the target PT, sorted by code.
-
-    ``ssm`` mode takes similarity-matrix neighbors above min_ssm; ``hlgt``
-    mode takes all PTs sharing an HLGT, each with similarity 1. The target
-    itself is never a candidate.
-    """
-    if mode == MODE_SSM:
-        if similarity is None:
-            raise ValueError("ssm mode needs a similarity matrix")
-        return [
-            (pt, s) for pt, s in similarity.neighbors(target_pt) if s > min_ssm
-        ]
-    if mode == MODE_HLGT:
-        if ontology is None:
-            raise ValueError("hlgt mode needs an ontology")
-        return [(pt, 1.0) for pt in ontology.hlgt_neighbors(target_pt)]
-    raise ValueError(f"unknown borrowing mode {mode!r}")
-
+# -- the full adjustment ------------------------------------------------------
 
 RANDOM_EFFECTS = "random"
 FIXED_EFFECTS = "fixed"
@@ -413,13 +345,15 @@ def borrow(
     target: IcPosterior,
     sources: list[BorrowSource],
     effects: str = RANDOM_EFFECTS,
-    policy: WeightPolicy | None = None,
+    w: str | float = MAX_SSM,
     vague_sd: float = 2.0,
     include_target_in_reml: bool = False,
 ) -> BorrowResult:
     """Full borrowing step for one target pair.
 
-    With no sources the target's Monte Carlo posterior is passed through
+    The pooled prior gets informative weight ``w``: "max_ssm" for the
+    largest source similarity, or a number in [0, 1] used as given. With
+    no sources the target's Monte Carlo posterior is passed through
     unchanged as a single-component result: no vague-prior update happens.
     """
     if not sources:
@@ -445,6 +379,10 @@ def borrow(
         pooled = fixed_effect_map(sources)
     else:
         raise ValueError(f"unknown effects model {effects!r}")
-    robust = robustify(pooled, sources, policy=policy, vague_sd=vague_sd)
+    if w == MAX_SSM:
+        w = max(s.ssm for s in sources)
+    elif isinstance(w, str):
+        raise ValueError(f"unknown prior weight {w!r}")
+    robust = RobustPrior(mu=pooled.mu, v=pooled.v, w=w, vague_sd=vague_sd)
     posterior = mixture_posterior(robust, target.pme, target.variance)
-    return BorrowResult(posterior=posterior, map_prior=pooled, w=robust.w)
+    return BorrowResult(posterior=posterior, map_prior=pooled, w=w)

@@ -16,6 +16,7 @@ import sys
 from ._version import __version__
 from .errors import NumericalError, ValidationError
 from .evaluate import (
+    MIN_BOOTSTRAP_ITER,
     bootstrap,
     check_negative_controls,
     compare_methods,
@@ -32,6 +33,7 @@ from .evaluate import (
 from .ontology import build_similarity, load_ontology
 from .pipeline import (
     CONFIG_SCHEMA,
+    METHOD_HLGT,
     METHOD_SSM,
     METHODS,
     RunConfig,
@@ -77,7 +79,11 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    """Config file values, overlaid by every flag given, then parsed."""
+    """Config file values, overlaid by every flag given, then parsed.
+
+    A borrowing method without --ontology fails here, before any data file
+    is read.
+    """
     values = _read_config_file(args.config) if args.config else {}
     for key in CONFIG_SCHEMA:
         flag = getattr(args, key)
@@ -85,7 +91,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             values[key] = flag
     if args.drug_filter is not None:  # the flag names a file of codes
         values["drug_filter"] = ";".join(_read_code_list(args.drug_filter))
-    return parse_config(values)
+    config = parse_config(values)
+    borrowing = [m for m in config.methods if m in (METHOD_SSM, METHOD_HLGT)]
+    if borrowing and not args.ontology:
+        raise ValidationError(f"--ontology is required by {', '.join(borrowing)}")
+    return config
 
 
 def _read_code_list(path: str) -> list[str]:
@@ -105,8 +115,6 @@ def _make_context(args: argparse.Namespace, config: RunConfig) -> RunContext:
     store = load_reports(args.reports, ontology)
     similarity = None
     if METHOD_SSM in config.methods:
-        if ontology is None:
-            raise ValidationError("IC_SSM needs --ontology")
         log.info("building similarity matrix (threshold %.3g)", config.min_ssm)
         similarity = build_similarity(ontology, min_ssm=config.min_ssm)
     return RunContext(
@@ -213,6 +221,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.bootstrap and args.bootstrap < MIN_BOOTSTRAP_ITER:
+        raise ValidationError(
+            f"--bootstrap must be 0 or >= {MIN_BOOTSTRAP_ITER}, got {args.bootstrap}"
+        )
     config = _build_config(args)
     entries = load_reference(args.reference)
     ctx = _make_context(args, config)
@@ -392,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bootstrap", type=int, default=0,
-                   help="bootstrap iterations (0 disables)")
+                   help=f"bootstrap iterations, 0 (disabled) or at least "
+                   f"{MIN_BOOTSTRAP_ITER}")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_evaluate)
 

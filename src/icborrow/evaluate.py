@@ -296,6 +296,7 @@ def compare_methods(
 # -- bootstrap ------------------------------------------------------------------
 
 _BOOT_METRICS = ("sensitivity", "specificity", "ppv", "f1", "youden")
+MIN_BOOTSTRAP_ITER = 100
 
 
 def bootstrap(
@@ -312,8 +313,8 @@ def bootstrap(
     undefined values on both sides) count one half, so identical inputs give
     exactly 0.5. Deterministic for a given seed.
     """
-    if n_iter < 100:
-        raise ValueError(f"n_iter must be >= 100, got {n_iter}")
+    if n_iter < MIN_BOOTSTRAP_ITER:
+        raise ValueError(f"n_iter must be >= {MIN_BOOTSTRAP_ITER}, got {n_iter}")
     methods = sorted(alerts_by_method)
     rng = np.random.Generator(np.random.Philox(seed))
     n = len(entries)
@@ -336,14 +337,10 @@ def bootstrap(
                 for metric in _BOOT_METRICS:
                     va = getattr(reports[a], metric)
                     vb = getattr(reports[b], metric)
-                    if va is None and vb is None:
-                        wins[(a, b, metric)] += 0.5
-                    elif va is None or vb is None:
+                    if va is None or vb is None or va == vb:
                         wins[(a, b, metric)] += 0.5
                     elif va > vb:
                         wins[(a, b, metric)] += 1.0
-                    elif va == vb:
-                        wins[(a, b, metric)] += 0.5
     fractions: dict[str, dict[str, float]] = {}
     for a in methods:
         for b in methods:

@@ -8,11 +8,15 @@ and Monte Carlo summaries of ic = log2(p_a / ((p_a+p_b) * (p_a+p_c))).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError
 from .reports import ContingencyTable
+
+if TYPE_CHECKING:
+    from .borrow import MixturePosterior
 
 # Probability floor applied to Monte Carlo draws before taking logs; draws at
 # or below it are counted in IcPosterior.n_floored.
@@ -119,6 +123,8 @@ def posterior_ic(
     )
 
 
-def signal_flag(posterior: IcPosterior, threshold: float = 0.0) -> bool:
+def signal_flag(
+    posterior: IcPosterior | MixturePosterior, threshold: float = 0.0
+) -> bool:
     """True when the lower 95% credibility bound clears the threshold."""
     return posterior.ci_low > threshold

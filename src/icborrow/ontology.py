@@ -186,7 +186,11 @@ class Ontology:
         """Sorted PTs sharing at least one HLGT with pt, excluding pt itself.
 
         A PT with no HLGT ancestor yields an empty list and a logged warning.
+        A code outside the ontology (load_reports keeps such event codes and
+        warns about them) yields an empty list.
         """
+        if pt not in self.concepts:
+            return []
         own = self.meddra_groups(pt, "HLGT")
         if not own:
             log.warning("PT %s has no HLGT ancestor; no group neighbors", pt)

@@ -15,16 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ._version import __version__
-from .borrow import (
-    FIXED,
-    MAX_SSM,
-    MODE_HLGT,
-    MODE_SSM,
-    BorrowSource,
-    WeightPolicy,
-    borrow,
-    candidate_neighbors,
-)
+from .borrow import FIXED_EFFECTS, MAX_SSM, RANDOM_EFFECTS, BorrowSource, borrow
 from .errors import ValidationError
 from .ic import IcPosterior, posterior_ic, signal_flag
 from .ontology import Ontology, SimilarityMatrix
@@ -55,7 +46,7 @@ class RunConfig:
     min_ssm: float = 0.3
     w: str | float = MAX_SSM
     vague_sd: float = 2.0
-    effects: str = "random"
+    effects: str = RANDOM_EFFECTS
     include_target_in_reml: bool = False
     threshold: float = 0.0
     n_samples: int = 100_000
@@ -74,7 +65,7 @@ class RunConfig:
                 raise ValidationError(f"unknown method {m!r}")
         if len(set(self.methods)) != len(self.methods):
             raise ValidationError(f"duplicate method in {','.join(self.methods)}")
-        if self.effects not in ("random", "fixed"):
+        if self.effects not in (RANDOM_EFFECTS, FIXED_EFFECTS):
             raise ValidationError(f"unknown effects model {self.effects!r}")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
@@ -90,18 +81,9 @@ class RunConfig:
             raise ValidationError("drug_filter must name at least one drug")
         if isinstance(self.w, str):
             if self.w != MAX_SSM:
-                raise ValidationError(f"unknown weight policy {self.w!r}")
-            policy = WeightPolicy()
-        else:
-            try:
-                policy = WeightPolicy(kind=FIXED, value=self.w)
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from None
-        # Built once here, so a bad w fails before any data is loaded.
-        object.__setattr__(self, "_weight_policy", policy)
-
-    def weight_policy(self) -> WeightPolicy:
-        return self._weight_policy
+                raise ValidationError(f"unknown prior weight {self.w!r}")
+        elif not 0.0 <= self.w <= 1.0:
+            raise ValidationError(f"w must be in [0, 1], got {self.w}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -280,26 +262,35 @@ class RunContext:
         ):
             raise ValidationError("IC cache is for another store, seed or n_samples")
 
-    def neighbors(self, pt: str, mode: str) -> list[tuple[str, float]]:
-        key = (pt, mode)
+    def neighbors(self, pt: str, method: str) -> list[tuple[str, float]]:
+        """(pt, ssm) borrowing candidates for a target PT, sorted by code.
+
+        IC_SSM takes the similarity-matrix neighbors above min_ssm; IC_HLGT
+        takes every PT sharing an HLGT, each with similarity 1. The target
+        itself is never a candidate.
+        """
+        key = (pt, method)
         hit = self._neighbor_memo.get(key)
         if hit is None:
-            hit = candidate_neighbors(
-                pt,
-                mode,
-                similarity=self.similarity,
-                ontology=self.ontology,
-                min_ssm=self.config.min_ssm,
-            )
+            if method == METHOD_SSM:
+                hit = [
+                    (n, s)
+                    for n, s in self.similarity.neighbors(pt)
+                    if s > self.config.min_ssm
+                ]
+            elif method == METHOD_HLGT:
+                hit = [(n, 1.0) for n in self.ontology.hlgt_neighbors(pt)]
+            else:
+                raise ValueError(f"method {method!r} does not borrow")
             self._neighbor_memo[key] = hit
         return hit
 
 
 def _gather_sources(
-    ctx: RunContext, drug: str, event: str, cutoff: Quarter, mode: str
+    ctx: RunContext, drug: str, event: str, cutoff: Quarter, method: str
 ) -> list[BorrowSource]:
     sources = []
-    for pt, ssm in ctx.neighbors(event, mode):
+    for pt, ssm in ctx.neighbors(event, method):
         table = ctx.store.contingency(drug, pt, cutoff)
         if table.a < 1:
             continue
@@ -332,30 +323,24 @@ def analyze_pair(
     )
     results = []
     for method in cfg.methods:
-        if method == METHOD_IC:
-            results.append(
-                PairResult(
-                    method=method,
-                    pme=target.pme,
-                    variance=target.variance,
-                    ci_low=target.ci_low,
-                    ci_high=target.ci_high,
-                    signal=signal_flag(target, cfg.threshold),
-                    **base,
-                )
+        post, borrowed = target, {}
+        if method != METHOD_IC:
+            sources = _gather_sources(ctx, drug, event, cutoff, method)
+            adjusted = borrow(
+                target,
+                sources,
+                effects=cfg.effects,
+                w=cfg.w,
+                vague_sd=cfg.vague_sd,
+                include_target_in_reml=cfg.include_target_in_reml,
             )
-            continue
-        mode = MODE_SSM if method == METHOD_SSM else MODE_HLGT
-        sources = _gather_sources(ctx, drug, event, cutoff, mode)
-        adjusted = borrow(
-            target,
-            sources,
-            effects=cfg.effects,
-            policy=cfg.weight_policy(),
-            vague_sd=cfg.vague_sd,
-            include_target_in_reml=cfg.include_target_in_reml,
-        )
-        post = adjusted.posterior
+            post, pooled = adjusted.posterior, adjusted.map_prior
+            borrowed = dict(s_count=len(sources), w=adjusted.w)
+            if pooled is not None:
+                borrowed.update(
+                    tau2=pooled.tau2, w_tilde=post.w_tilde, map_mu=pooled.mu,
+                    map_v=pooled.v,
+                )
         results.append(
             PairResult(
                 method=method,
@@ -363,13 +348,8 @@ def analyze_pair(
                 variance=post.variance,
                 ci_low=post.ci_low,
                 ci_high=post.ci_high,
-                signal=post.ci_low > cfg.threshold,
-                s_count=len(sources),
-                tau2=adjusted.map_prior.tau2 if adjusted.map_prior else None,
-                w=adjusted.w,
-                w_tilde=post.w_tilde if sources else None,
-                map_mu=adjusted.map_prior.mu if adjusted.map_prior else None,
-                map_v=adjusted.map_prior.v if adjusted.map_prior else None,
+                signal=signal_flag(post, cfg.threshold),
+                **borrowed,
                 **base,
             )
         )

@@ -17,20 +17,6 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class Report:
-    report_id: str
-    quarter: Quarter
-    drugs: frozenset[str]
-    events: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if not self.drugs or not self.events:
-            raise ValidationError(
-                f"report {self.report_id!r} needs at least one drug and one event"
-            )
-
-
-@dataclass(frozen=True)
 class ContingencyTable:
     """Counts for one (drug, event) pair: a=both, b=drug only, c=event only, d=rest."""
 
@@ -119,26 +105,12 @@ class ReportStore:
     the store keeps the number of reports, of reports naming each drug, each
     event and each co-reported (drug, event) pair, all cumulative over
     quarters, so a contingency table at any cutoff is a few lookups.
+    Built by ``load_reports``, which counts the records whose alive flag
+    is set.
     """
 
-    def __init__(self, reports: list[Report], warnings: list[str] | None = None):
-        cols = _Columns()
-        for r in reports:
-            cols.add(r.quarter.ordinal, r.drugs, r.events)
-        self._tabulate(cols, np.ones(len(reports), dtype=bool))
-        self.load_warnings = warnings or []
-
-    @classmethod
-    def _from_columns(
-        cls, cols: _Columns, alive: np.ndarray, warnings: list[str]
-    ) -> "ReportStore":
-        store = cls.__new__(cls)
-        store._tabulate(cols, alive)
-        store.load_warnings = warnings
-        return store
-
-    def _tabulate(self, cols: _Columns, alive: np.ndarray) -> None:
-        """Count the records whose alive flag is set."""
+    def __init__(self, cols: _Columns, alive: np.ndarray, warnings: list[str]):
+        self.load_warnings = warnings
         rec_q = _ints(cols.quarter)
         n_drugs, n_events = _ints(cols.n_drugs), _ints(cols.n_events)
         self._drug_names, drug_rank = _sorted_codes(cols.drug_codes)
@@ -281,4 +253,4 @@ def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
             warnings.append(msg)
     alive = np.zeros(len(record_line), dtype=bool)
     alive[np.fromiter(latest.values(), dtype=np.int64, count=len(latest))] = True
-    return ReportStore._from_columns(cols, alive, warnings)
+    return ReportStore(cols, alive, warnings)

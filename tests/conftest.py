@@ -1,6 +1,9 @@
+import os
+import tempfile
+
 import pytest
 
-from icborrow import Ontology, ReportStore, Report, Quarter
+from icborrow import Ontology, ReportStore, load_reports
 from icborrow.ontology import Concept
 
 # Nine-concept chain: ROOT > M1 > ... > M5 > P > {L1, L2}. With N = 9 the
@@ -67,8 +70,6 @@ def six_report_path(tmp_path):
 
 @pytest.fixture
 def six_report_store(six_report_path):
-    from icborrow import load_reports
-
     return load_reports(six_report_path)
 
 
@@ -84,13 +85,17 @@ def make_ontology(parents: dict, codes: list[str], levels: dict | None = None) -
 
 
 def make_store(rows: list[tuple[str, str, set, set]]) -> ReportStore:
-    """Build a store from (report_id, quarter string, drugs, events) rows."""
-    return ReportStore(
-        [
-            Report(rid, Quarter.parse(q), frozenset(drugs), frozenset(events))
-            for rid, q, drugs, events in rows
-        ]
-    )
+    """Load a store from (report_id, quarter string, drugs, events) rows,
+    written to a temporary report file."""
+    lines = [
+        f"{rid}\t{q}\t{';'.join(sorted(drugs))}\t{';'.join(sorted(events))}\n"
+        for rid, q, drugs, events in rows
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "reports.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        return load_reports(path)
 
 
 def all_pairs_similarity(ont: Ontology, codes: list[str], min_ssm: float) -> dict:

@@ -1,5 +1,7 @@
 import math
 import statistics
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,20 +11,20 @@ from scipy.stats import norm
 from icborrow import (
     BorrowSource,
     IcPosterior,
-    MapPrior,
     RobustPrior,
-    WeightPolicy,
     borrow,
     fixed_effect_map,
     mixture_posterior,
     random_effects_map,
     reml_tau2,
-    robustify,
 )
-from icborrow.borrow import FIXED, MAX_SSM, _brentq, _reml_score, candidate_neighbors
+from icborrow.borrow import _brentq, _reml_score
 from icborrow.errors import NumericalError
 
 from oracles import grid_mixture, grid_reml_tau2
+
+# icborrow.borrow is the re-exported function; the module is here.
+borrow_module = sys.modules["icborrow.borrow"]
 
 
 def src(ic, vic, ssm=0.8, pt="PTX"):
@@ -150,6 +152,16 @@ def test_random_effects_single_source_equals_fixed():
     assert random_effects_map(sources) == fixed_effect_map(sources)
 
 
+def test_random_effects_falls_back_to_fixed(monkeypatch):
+    sources = [src(-1.5, 0.1, 0.5), src(0.0, 0.1, 0.5), src(1.5, 0.1, 0.5)]
+    monkeypatch.setattr(
+        borrow_module, "reml_tau2", lambda ics, vics: (math.nan, False)
+    )
+    pooled = random_effects_map(sources)
+    assert pooled == replace(fixed_effect_map(sources), converged=False)
+    assert pooled.tau2 == 0.0
+
+
 def test_random_effects_inflates_weights_by_tau2():
     sources = [src(-1.5, 0.1, 0.5), src(0.0, 0.1, 0.5), src(1.5, 0.1, 0.5)]
     pooled = random_effects_map(sources)
@@ -174,23 +186,34 @@ def test_target_opt_in_changes_only_tau2_inputs():
 
 
 def test_weight_policies():
+    # w is "max_ssm" (the largest source similarity) or a number used as given.
+    target = target_posterior()
     sources = [src(0.0, 0.2, 0.96), src(0.0, 0.2, 0.5)]
-    assert WeightPolicy(MAX_SSM).weight(sources) == pytest.approx(0.96)
-    assert WeightPolicy(FIXED, 0.8).weight(sources) == 0.8
-    assert WeightPolicy(MAX_SSM).weight([src(0.0, 0.2, 0.301)]) == pytest.approx(0.301)
-    with pytest.raises(ValueError):
-        WeightPolicy("nope")
-    with pytest.raises(ValueError):
-        WeightPolicy(FIXED, 1.2)
+    assert borrow(target, sources).w == 0.96  # default w = "max_ssm"
+    assert borrow(target, sources, w="max_ssm").w == 0.96
+    assert borrow(target, [src(0.0, 0.2, 0.301)]).w == 0.301
+    assert borrow(target, sources, w=0.8).w == 0.8
+    for w in (0.0, 1.0):
+        assert borrow(target, sources, w=w).w == w
+    for bad in (1.2, -0.1, math.nan, "nope"):
+        with pytest.raises(ValueError):
+            borrow(target, sources, w=bad)
 
 
-def test_robustify_carries_map_and_weight():
-    pooled = MapPrior(mu=0.9, v=0.04, tau2=0.1, s_count=3)
-    sources = [src(0.9, 0.2, 0.96)]
-    robust = robustify(pooled, sources, vague_sd=2.0)
-    assert robust == RobustPrior(mu=0.9, v=0.04, w=0.96, vague_sd=2.0)
-    fixed = robustify(pooled, sources, policy=WeightPolicy(FIXED, 0.8))
-    assert fixed.w == 0.8
+def test_borrow_prior_carries_map_and_weight():
+    # The robust prior is the pooled MAP prior with the chosen weight.
+    target = target_posterior()
+    sources = [src(0.9, 0.2, 0.96), src(1.4, 0.3, 0.7)]
+    for effects, w, weight in [
+        ("random", "max_ssm", 0.96), ("fixed", "max_ssm", 0.96),
+        ("random", 0.8, 0.8), ("fixed", 0.3, 0.3),
+    ]:
+        result = borrow(target, sources, effects=effects, w=w, vague_sd=1.5)
+        pooled = result.map_prior
+        robust = RobustPrior(mu=pooled.mu, v=pooled.v, w=weight, vague_sd=1.5)
+        assert result.posterior == mixture_posterior(
+            robust, target.pme, target.variance
+        )
 
 
 def test_mixture_pure_map_equal_precision():
@@ -347,11 +370,11 @@ def test_borrow_full_path_matches_stages():
     sources = [src(1.2, 0.2, 0.6, "PTA"), src(1.8, 0.25, 0.45, "PTB")]
     result = borrow(target, sources, vague_sd=2.0)
     pooled = random_effects_map(sources, target=(target.pme, target.variance))
-    robust = robustify(pooled, sources, vague_sd=2.0)
+    robust = RobustPrior(mu=pooled.mu, v=pooled.v, w=0.6, vague_sd=2.0)
     expected = mixture_posterior(robust, target.pme, target.variance)
     assert result.posterior == expected
     assert result.map_prior == pooled
-    assert result.w == robust.w
+    assert result.w == 0.6
 
 
 def test_borrow_fixed_effects_mode():
@@ -361,20 +384,6 @@ def test_borrow_fixed_effects_mode():
     assert result.map_prior == fixed_effect_map(sources)
     with pytest.raises(ValueError):
         borrow(target, sources, effects="nope")
-
-
-def test_candidate_neighbors_modes(chain_ontology):
-    from icborrow import build_similarity
-
-    sim = build_similarity(chain_ontology, min_ssm=0.1)
-    assert candidate_neighbors("L1", "ssm", similarity=sim, min_ssm=0.1) == [
-        ("L2", pytest.approx(0.2))
-    ]
-    # the 0.2 pair falls below the default threshold
-    assert candidate_neighbors("L1", "ssm", similarity=sim, min_ssm=0.3) == []
-    assert candidate_neighbors("L1", "hlgt", ontology=chain_ontology) == [("L2", 1.0)]
-    with pytest.raises(ValueError):
-        candidate_neighbors("L1", "nope")
 
 
 def test_mixture_rejects_bad_variance():

@@ -133,13 +133,40 @@ def test_run_single_method_writes_one_csv(dataset, tmp_path):
     assert not (out / "results_IC_SSM.csv").exists()
 
 
-def test_run_ssm_requires_ontology(dataset, tmp_path, capsys):
+def test_run_ssm_requires_ontology(tmp_path, capsys):
+    # The reports file does not exist: the missing --ontology must be
+    # reported first, as a validation error, not as the I/O error's exit 1.
+    out = tmp_path / "x"
+    for command, methods in [
+        ("run", "IC_SSM"), ("run", "IC_HLGT"), ("run", "IC,IC_SSM,IC_HLGT"),
+        ("evaluate", "IC_HLGT"), ("compare", "IC,IC_SSM"),
+        ("sweep", "IC_SSM"), ("sweep", "IC_HLGT"),
+    ]:
+        args = [command, "--reports", str(tmp_path / "missing.tsv"),
+                "--out", str(out), "--methods", methods] + BASE
+        if command != "run":
+            args += ["--reference", str(tmp_path / "missing_ref.tsv")]
+        assert main(args) == 2, (command, methods)
+        err = json.loads(capsys.readouterr().err)
+        borrowing = ", ".join(m for m in methods.split(",") if m != "IC")
+        assert err["error"] == "ValidationError"
+        assert err["message"] == f"--ontology is required by {borrowing}"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n_iter", ["50", "-5"])
+def test_bad_bootstrap_fails_before_screening(dataset, tmp_path, capsys, n_iter):
+    out = tmp_path / "x"
     code = main(
-        ["run", "--reports", str(dataset / "reports.tsv"),
-         "--out", str(tmp_path / "x"), "--methods", "IC_SSM"] + BASE
+        ["evaluate"] + io_args(dataset)
+        + ["--out", str(out), "--methods", "IC", "--bootstrap", n_iter] + BASE
     )
     assert code == 2
-    assert "ontology" in json.loads(capsys.readouterr().err)["message"]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValidationError" and "--bootstrap" in err["message"]
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(dataset, tmp_path):

@@ -3,14 +3,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_quickstart_demo_runs(tmp_path):
-    # The demo writes its data under tempfile's directory: keep it in tmp_path.
+@pytest.mark.parametrize(
+    "demo", ["quickstart.py", "borrowing_walkthrough.py", "full_evaluation.py"]
+)
+def test_demo_runs(tmp_path, demo):
+    # The demos write their data under tempfile's directory: keep it in tmp_path.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "quickstart.py")],
+        [sys.executable, str(ROOT / "demos" / demo)],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr

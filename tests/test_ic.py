@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icborrow import ContingencyTable, DirichletPrior, posterior_ic, signal_flag
 from icborrow.errors import NumericalError
@@ -50,6 +52,46 @@ def test_pme_matches_digamma_identity(cells):
     exact = exact_ic_mean(posterior_gamma(table))
     mc_se = math.sqrt(post.variance / post.n_samples)
     assert abs(post.pme - exact) < 4.0 * mc_se
+
+
+def degenerate_tables(top: int):
+    """(a, b, c, d) with a >= 1 and a = n, b = c = 0, or d = 0; cells <= top."""
+    count = st.integers(0, top)
+    joint = st.integers(1, top)
+    return st.one_of(
+        joint.map(lambda a: (a, 0, 0, 0)),
+        st.tuples(joint, count).map(lambda t: (t[0], 0, 0, t[1])),
+        st.tuples(joint, count, count).map(lambda t: (t[0], t[1], t[2], 0)),
+    )
+
+
+def assert_well_formed(post):
+    # Not ci_low <= pme: for (50, 0, 0, 0) the mean lies above the 97.5%
+    # quantile, since a rare large draw carries it.
+    assert math.isfinite(post.pme)
+    assert post.variance > 0.0
+    assert post.ci_low <= post.ci_high
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(degenerate_tables(50), st.integers(0, 3))
+def test_degenerate_tables_match_digamma_mean(cells, seed):
+    # Small counts, as in one-report stores and early cutoffs. With a = n
+    # above about 100 the draws are so skewed (cell d has Dirichlet shape
+    # 2/(n+2)^2) that 20k draws rarely see the tail, and the sample mean
+    # sits many estimated standard errors below the exact mean.
+    table = ContingencyTable(*cells)
+    post = posterior_ic(table, n_samples=20_000, seed=seed)
+    assert_well_formed(post)
+    exact = exact_ic_mean(posterior_gamma(table))
+    assert abs(post.pme - exact) < 4.0 * math.sqrt(post.variance / post.n_samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degenerate_tables(10**6), st.integers(0, 2**32))
+def test_large_degenerate_tables_stay_finite(cells, seed):
+    post = posterior_ic(ContingencyTable(*cells), n_samples=1000, seed=seed)
+    assert_well_formed(post)
 
 
 def test_balanced_independence_is_near_zero():

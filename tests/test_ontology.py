@@ -70,6 +70,7 @@ def test_meddra_grouping(chain_ontology):
     assert chain_ontology.hlt_of("L1") == frozenset({"P"})
     assert chain_ontology.hlgt_neighbors("L1") == ["L2"]
     assert chain_ontology.hlgt_neighbors("L2") == ["L1"]
+    assert chain_ontology.hlgt_neighbors("NOT_A_PT") == []
 
 
 def test_hlgt_neighbors_union_across_groups(tmp_path):

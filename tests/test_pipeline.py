@@ -18,6 +18,7 @@ from icborrow import (
     run_quarters,
 )
 from icborrow.pipeline import (
+    METHODS,
     IcCache,
     config_snapshot,
     derive_seed,
@@ -26,6 +27,8 @@ from icborrow.pipeline import (
     write_results_csv,
 )
 from icborrow.synth import basic_scenario, concordant_scenario, generate
+
+from conftest import make_store
 
 Q = Quarter.parse
 
@@ -108,6 +111,7 @@ def test_ic_cache_memoizes(six_report_store):
         {"methods": ("IC", "IC")},
         {"methods": ()},
         {"w": 1.5},
+        {"w": -0.1},
         {"drug_filter": frozenset()},
         {"n_samples": 999},
         {"min_ssm": 7.0},
@@ -128,6 +132,76 @@ def test_context_requires_method_inputs(six_report_store):
         RunContext(six_report_store, small_config(methods=(METHOD_SSM,)))
     with pytest.raises(ValidationError):
         RunContext(six_report_store, small_config(methods=(METHOD_HLGT,)))
+
+
+def test_context_neighbors(six_report_store, chain_ontology):
+    similarity = build_similarity(chain_ontology, min_ssm=0.1)
+    for min_ssm, ssm_mates in [(0.1, [("L2", pytest.approx(0.2))]), (0.3, [])]:
+        ctx = RunContext(
+            six_report_store,
+            small_config(methods=(METHOD_SSM, METHOD_HLGT), min_ssm=min_ssm),
+            similarity=similarity,
+            ontology=chain_ontology,
+        )
+        # the 0.2 pair falls below the default threshold
+        assert ctx.neighbors("L1", METHOD_SSM) == ssm_mates
+        assert ctx.neighbors("L1", METHOD_HLGT) == [("L2", 1.0)]
+        with pytest.raises(ValueError):
+            ctx.neighbors("L1", METHOD_IC)
+
+
+@pytest.mark.parametrize(
+    "w, ssm_w, hlgt_w", [("max_ssm", pytest.approx(0.2), 1.0), (0.8, 0.8, 0.8)]
+)
+def test_prior_weight_applies_to_both_borrowing_methods(
+    chain_ontology, w, ssm_w, hlgt_w
+):
+    store = make_store(
+        [
+            ("R1", "2015Q1", {"D"}, {"L1"}),
+            ("R2", "2015Q1", {"D"}, {"L2"}),
+            ("R3", "2015Q1", {"D"}, {"L1", "L2"}),
+            ("R4", "2015Q1", {"X"}, {"L2"}),
+        ]
+    )
+    ctx = RunContext(
+        store,
+        small_config(methods=METHODS, min_ssm=0.1, w=w),
+        similarity=build_similarity(chain_ontology, min_ssm=0.1),
+        ontology=chain_ontology,
+    )
+    results = run_batch(ctx, [Q("2015Q1")], pairs=[("D", "L1")])
+    by_method = {r.method: r for r in results}
+    assert by_method[METHOD_IC].w is None
+    assert by_method[METHOD_SSM].s_count == by_method[METHOD_HLGT].s_count == 1
+    assert by_method[METHOD_SSM].w == ssm_w
+    assert by_method[METHOD_HLGT].w == hlgt_w
+    if hlgt_w == 1.0:
+        # HLGT mates enter with similarity 1: the vague component never does.
+        assert by_method[METHOD_HLGT].w_tilde == 1.0
+
+
+@pytest.mark.parametrize(
+    "drugs, events",
+    [({"D"}, {"L1"}), ({"D"}, {"NOT_A_PT"}), ({"D1", "D2"}, {"L1", "L2"})],
+)
+def test_one_report_store_gives_one_row_per_method(chain_ontology, drugs, events):
+    # Every table is (1, 0, 0, 0); with two events each borrows from the other.
+    store = make_store([("R1", "2015Q1", drugs, events)])
+    ctx = RunContext(
+        store,
+        small_config(methods=METHODS, min_ssm=0.1),
+        similarity=build_similarity(chain_ontology, min_ssm=0.1),
+        ontology=chain_ontology,
+    )
+    run = run_quarters(ctx)
+    assert run.quarters == [Q("2015Q1")]
+    assert len(run.results) == len(METHODS) * len(drugs) * len(events)
+    for r in run.results:
+        assert (r.a, r.b, r.c, r.d) == (1, 0, 0, 0)
+        assert r.s_count == (len(events) - 1 if r.method != METHOD_IC else 0)
+        assert math.isfinite(r.pme) and r.variance > 0.0
+        assert r.ci_low <= r.ci_high
 
 
 def test_run_batch_sorted_and_thread_invariant(basic_run):
