@@ -50,7 +50,7 @@ from .pipeline import (
     run_batch,
     run_quarters,
 )
-from .quarters import Quarter, quarter_range
+from .quarters import Quarter
 from .reports import ContingencyTable, ReportStore, load_reports
 from .synth import (
     ClusterSpec,
@@ -110,7 +110,6 @@ __all__ = [
     "mixture_posterior",
     "parameter_sweep",
     "posterior_ic",
-    "quarter_range",
     "quarterly_curves",
     "random_effects_map",
     "reml_tau2",

@@ -93,8 +93,15 @@ def posterior_ic(
     Returns
     -------
     IcPosterior
-        Posterior mean (pme), sample variance, and the empirical central 95%
-        interval of the sampled information component.
+        Summaries of the n_samples draws of the information component:
+        ``pme`` is their sample mean, ``variance`` their sample variance
+        with ddof=1, and ``ci_low``/``ci_high`` their 2.5% and 97.5%
+        quantiles, interpolated linearly between order statistics (numpy's
+        default ``linear`` method, Hyndman & Fan type 7). Draws of p_a at or
+        below ``PROB_FLOOR`` are raised to it before the logarithm and
+        counted in ``n_floored``. Each summary equals, bit for bit,
+        ``ndarray.mean``, ``ndarray.var(ddof=1)`` and ``np.quantile`` of
+        the same draws.
     """
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
@@ -106,21 +113,39 @@ def posterior_ic(
     rng = np.random.Generator(np.random.Philox(seed))
     p = rng.dirichlet(gamma, size=n_samples)
     p_a = p[:, 0]
-    floored = p_a <= PROB_FLOOR
-    n_floored = int(floored.sum())
-    if n_floored:
+    n_floored = 0
+    if p_a.min() <= PROB_FLOOR:
+        floored = p_a <= PROB_FLOOR
+        n_floored = int(floored.sum())
         p_a = np.where(floored, PROB_FLOOR, p_a)
-    ic = np.log2(p_a / ((p_a + p[:, 1]) * (p_a + p[:, 2])))
-    ci_low, ci_high = np.quantile(ic, [0.025, 0.975])
+    ic = p_a + p[:, 1]
+    ic *= p_a + p[:, 2]
+    np.divide(p_a, ic, out=ic)
+    np.log2(ic, out=ic)
+    # The float sequences of ndarray.mean and ndarray.var(ddof=1). Pairwise
+    # summation depends on element order, so both precede the partition.
+    pme = ic.sum() / n_samples
+    dev = ic - pme
+    dev *= dev
+    variance = dev.sum() / (n_samples - 1)
+    v_low, v_high = (n_samples - 1) * 0.025, (n_samples - 1) * 0.975
+    i_low, i_high = int(v_low), int(v_high)
+    ic.partition((i_low, i_low + 1, i_high, i_high + 1))
     return IcPosterior(
-        pme=float(ic.mean()),
-        variance=float(ic.var(ddof=1)),
-        ci_low=float(ci_low),
-        ci_high=float(ci_high),
+        pme=float(pme),
+        variance=float(variance),
+        ci_low=_lerp(ic.item(i_low), ic.item(i_low + 1), v_low - i_low),
+        ci_high=_lerp(ic.item(i_high), ic.item(i_high + 1), v_high - i_high),
         n_samples=n_samples,
         seed=seed,
         n_floored=n_floored,
     )
+
+
+def _lerp(a: float, b: float, t: float) -> float:
+    """a + (b - a) * t as numpy's quantile computes it: from b when t >= 0.5."""
+    d = b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
 
 def signal_flag(

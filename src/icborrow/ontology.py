@@ -7,7 +7,6 @@ carry the PT -> HLT -> HLGT -> SOC grouping used for group-based borrowing.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from bisect import bisect_right
@@ -358,32 +357,6 @@ class SimilarityMatrix:
     def _put(self, a: str, b: str, value: float) -> None:
         self._adj.setdefault(a, {})[b] = value
         self._adj.setdefault(b, {})[a] = value
-
-    def save_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pt_a", "pt_b", "ssm"])
-            rows = sorted(
-                (a, b) for a, nbrs in self._adj.items() for b in nbrs if a < b
-            )
-            for a, b in rows:
-                writer.writerow([a, b, f"{self._adj[a][b]:.6f}"])
-
-    @classmethod
-    def load_csv(cls, path: str, min_ssm: float) -> "SimilarityMatrix":
-        out = cls(min_ssm=min_ssm)
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["pt_a", "pt_b", "ssm"]:
-                raise ValidationError(f"{path}: bad similarity header {header!r}")
-            for row in reader:
-                if len(row) != 3:
-                    raise ValidationError(f"{path}: bad similarity row {row!r}")
-                value = float(row[2])
-                if value > min_ssm:
-                    out._put(row[0], row[1], value)
-        return out
 
 
 def build_similarity(

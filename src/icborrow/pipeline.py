@@ -364,20 +364,22 @@ def run_batch(
     """Screen pairs at each cutoff; results sorted (method, cutoff, drug, event).
 
     With pairs=None the pair set at each cutoff is every pair active there
-    (a >= config.min_a), restricted to the configured drug filter.
+    (a >= config.min_a). Either way only pairs whose drug is in the
+    configured drug filter are screened.
     """
     cfg = ctx.config
+    if pairs is not None and cfg.drug_filter is not None:
+        pairs = [p for p in pairs if p[0] in cfg.drug_filter]
     tasks: list[tuple[Quarter, str, str]] = []
     for cutoff in sorted(cutoffs):
         at_cutoff = (
             pairs
             if pairs is not None
-            else ctx.store.active_pairs(cutoff, min_a=cfg.min_a)
+            else ctx.store.active_pairs(
+                cutoff, min_a=cfg.min_a, drugs=cfg.drug_filter
+            )
         )
-        for drug, event in at_cutoff:
-            if cfg.drug_filter is not None and drug not in cfg.drug_filter:
-                continue
-            tasks.append((cutoff, drug, event))
+        tasks.extend((cutoff, drug, event) for drug, event in at_cutoff)
 
     def work(task: tuple[Quarter, str, str]) -> list[PairResult]:
         cutoff, drug, event = task

@@ -47,10 +47,3 @@ class Quarter:
         if isinstance(other, Quarter):
             return self.ordinal - other.ordinal
         return Quarter.from_ordinal(self.ordinal - other)
-
-
-def quarter_range(start: Quarter, end: Quarter) -> list[Quarter]:
-    """All quarters from start to end inclusive."""
-    if end < start:
-        raise ValueError(f"empty quarter range {start}..{end}")
-    return [Quarter.from_ordinal(o) for o in range(start.ordinal, end.ordinal + 1)]

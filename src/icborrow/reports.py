@@ -6,6 +6,7 @@ import logging
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -178,18 +179,29 @@ class ReportStore:
         c = (self._event.item(ei, qi) if ei is not None else 0) - a
         return ContingencyTable(a=a, b=b, c=c, d=self._n.item(qi) - a - b - c)
 
-    def active_pairs(self, cutoff: Quarter, min_a: int = 1) -> list[tuple[str, str]]:
-        """(drug, event) pairs with a >= min_a at cutoff, sorted."""
+    def active_pairs(
+        self, cutoff: Quarter, min_a: int = 1, drugs: Iterable[str] | None = None
+    ) -> list[tuple[str, str]]:
+        """(drug, event) pairs with a >= min_a at cutoff, sorted.
+
+        With ``drugs`` given, only pairs whose drug is one of those codes;
+        codes absent from the store match nothing.
+        """
         qi = self._quarter_index(cutoff)
         if qi < 0:
             return []
         # Pairs first reported after the cutoff count 0 there: never active.
         keys = self._pair_keys[self._pair[:, qi] >= max(min_a, 1)]
         n_e = len(self._event_names)
-        drugs, events = self._drug_names, self._event_names
+        drug_idx = keys // n_e
+        if drugs is not None:
+            wanted = [self._drug_index[d] for d in drugs if d in self._drug_index]
+            keep = np.isin(drug_idx, np.array(wanted, dtype=np.int64))
+            keys, drug_idx = keys[keep], drug_idx[keep]
+        names, events = self._drug_names, self._event_names
         return [
-            (drugs[d], events[e])
-            for d, e in zip((keys // n_e).tolist(), (keys % n_e).tolist())
+            (names[d], events[e])
+            for d, e in zip(drug_idx.tolist(), (keys % n_e).tolist())
         ]
 
 

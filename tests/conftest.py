@@ -1,9 +1,11 @@
+import csv
 import os
 import tempfile
 
 import pytest
 
-from icborrow import Ontology, ReportStore, load_reports
+from icborrow import Ontology, Quarter, ReportStore, SimilarityMatrix, load_reports
+from icborrow.errors import ValidationError
 from icborrow.ontology import Concept
 
 # Nine-concept chain: ROOT > M1 > ... > M5 > P > {L1, L2}. With N = 9 the
@@ -107,4 +109,43 @@ def all_pairs_similarity(ont: Ontology, codes: list[str], min_ssm: float) -> dic
             s = ont.sokal_sneath(a, b)
             if s > min_ssm:
                 out[(a, b)] = s
+    return out
+
+
+def quarter_range(start: Quarter, end: Quarter) -> list[Quarter]:
+    """All quarters from start to end inclusive."""
+    if end < start:
+        raise ValueError(f"empty quarter range {start}..{end}")
+    return [Quarter.from_ordinal(o) for o in range(start.ordinal, end.ordinal + 1)]
+
+
+SIMILARITY_HEADER = ["pt_a", "pt_b", "ssm"]
+
+
+def save_similarity_csv(matrix: SimilarityMatrix, path: str) -> None:
+    """Write the pairs a < b of a matrix as sorted pt_a,pt_b,ssm rows."""
+    rows = sorted(
+        (a, b, s) for a in matrix._adj for b, s in matrix.neighbors(a) if a < b
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SIMILARITY_HEADER)
+        for a, b, s in rows:
+            writer.writerow([a, b, f"{s:.6f}"])
+
+
+def load_similarity_csv(path: str, min_ssm: float) -> SimilarityMatrix:
+    """A matrix from pt_a,pt_b,ssm rows, keeping the values above min_ssm."""
+    out = SimilarityMatrix(min_ssm=min_ssm)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != SIMILARITY_HEADER:
+            raise ValidationError(f"{path}: bad similarity header {header!r}")
+        for row in reader:
+            if len(row) != 3:
+                raise ValidationError(f"{path}: bad similarity row {row!r}")
+            value = float(row[2])
+            if value > min_ssm:
+                out._put(row[0], row[1], value)
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import betainc, betaincinv, digamma
 
 
 # -- ontology ------------------------------------------------------------------
@@ -103,6 +103,53 @@ def exact_ic_mean(gamma) -> float:
         (digamma(ga) - digamma(ga + gb) - digamma(ga + gc) + digamma(gn))
         / math.log(2.0)
     )
+
+
+def numpy_ic_summaries(gamma, n_samples: int, seed: int) -> dict:
+    """IcPosterior fields from the same Philox stream, summarized by numpy.
+
+    Floors p_a with np.where, then takes ndarray.mean, ndarray.var(ddof=1)
+    and np.quantile at 2.5% and 97.5%, as posterior_ic once did.
+    """
+    floor = float(np.finfo(np.float64).tiny)
+    rng = np.random.Generator(np.random.Philox(seed))
+    p = rng.dirichlet(np.asarray(gamma, dtype=np.float64), size=n_samples)
+    p_a = p[:, 0]
+    floored = p_a <= floor
+    p_a = np.where(floored, floor, p_a)
+    ic = np.log2(p_a / ((p_a + p[:, 1]) * (p_a + p[:, 2])))
+    ci_low, ci_high = np.quantile(ic, [0.025, 0.975])
+    return dict(
+        pme=float(ic.mean()),
+        variance=float(ic.var(ddof=1)),
+        ci_low=float(ci_low),
+        ci_high=float(ci_high),
+        n_samples=n_samples,
+        seed=seed,
+        n_floored=int(floored.sum()),
+    )
+
+
+def ic_cdf(gamma, x: float, nodes: int = 400) -> float:
+    """P(ic <= x) under Dirichlet(gamma), by quadrature.
+
+    Dirichlet neutrality gives ic = log2 U - log2(sU + (1-s)V) with
+    s ~ Beta(ga+gb, gc+gd), U ~ Beta(ga, gb), V ~ Beta(gc, gd) independent,
+    so ic <= x exactly when U <= u* = 2^x (1-s) V / (1 - 2^x s), or always
+    when 2^x s >= 1. Given (s, V) that has probability I_{u*}(ga, gb); the
+    outer integral over (s, V) runs on their quantile scales, where both
+    are uniform, with a tensor Gauss-Legendre rule.
+    """
+    ga, gb, gc, gd = (float(g) for g in gamma)
+    t, weights = np.polynomial.legendre.leggauss(nodes)
+    t, weights = (t + 1.0) / 2.0, weights / 2.0
+    s = betaincinv(ga + gb, gc + gd, t)[:, None]
+    v = betaincinv(gc, gd, t)[None, :]
+    r = 2.0**x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_star = np.where(r * s < 1.0, r * (1.0 - s) * v / (1.0 - r * s), 1.0)
+    inner = betainc(ga, gb, np.clip(u_star, 0.0, 1.0))
+    return float(weights @ inner @ weights)
 
 
 # -- REML ------------------------------------------------------------------------

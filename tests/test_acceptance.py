@@ -20,7 +20,6 @@ from icborrow import (
     RobustPrior,
     RunConfig,
     RunContext,
-    SimilarityMatrix,
     build_similarity,
     compare_methods,
     generate,
@@ -38,7 +37,7 @@ from icborrow.cli import main as cli_main
 from icborrow.pipeline import METHOD_HLGT, METHOD_IC, METHOD_SSM
 from icborrow.synth import basic_scenario, concordant_scenario, null_scenario
 
-from conftest import make_ontology
+from conftest import load_similarity_csv, make_ontology
 from oracles import grid_mixture, grid_reml_tau2, random_dag, seco_ic, bfs_ancestors
 
 
@@ -205,7 +204,7 @@ def test_group_borrowing_equals_forced_similarity(tmp_path):
         fh.write("pt_a,pt_b,ssm\n")
         for a, b in sorted(pairs):
             fh.write(f"{a},{b},1.000000\n")
-    forced = SimilarityMatrix.load_csv(str(forced_path), min_ssm=0.3)
+    forced = load_similarity_csv(str(forced_path), min_ssm=0.3)
 
     ssm_cfg = RunConfig(
         methods=(METHOD_SSM,), n_samples=5_000, seed=9, w=0.8,

@@ -1,19 +1,20 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icborrow import ContingencyTable, DirichletPrior, posterior_ic, signal_flag
 from icborrow.errors import NumericalError
 from icborrow.ic import PROB_FLOOR, default_prior
 
-from oracles import exact_ic_mean
+from oracles import exact_ic_mean, ic_cdf, numpy_ic_summaries
 
 
-def posterior_gamma(table, nu=2.0):
-    prior = default_prior(table, nu=nu)
+def posterior_gamma(table, prior=None):
+    prior = prior or default_prior(table)
     return [
         alpha + count
         for alpha, count in zip(prior.alpha, (table.a, table.b, table.c, table.d))
@@ -92,6 +93,68 @@ def test_degenerate_tables_match_digamma_mean(cells, seed):
 def test_large_degenerate_tables_stay_finite(cells, seed):
     post = posterior_ic(ContingencyTable(*cells), n_samples=1000, seed=seed)
     assert_well_formed(post)
+
+
+# Every n but 1001 puts the 2.5% point at t ~ 0.975 between order
+# statistics and the 97.5% point at t ~ 0.025, the two branches of numpy's
+# interpolation; at 1001 both indices are integral (t = 0).
+SUMMARY_SAMPLE_SIZES = [1000, 1001, 2000, 20_000, 100_000]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.tuples(*[st.integers(0, 10**6)] * 4).filter(lambda t: sum(t) > 0),
+        degenerate_tables(10**6),
+        # a = 0 under a large d: most draws of p_a fall to the floor
+        st.tuples(
+            st.just(0), st.integers(1, 1000), st.integers(1, 1000),
+            st.integers(1000, 10**6),
+        ),
+    ),
+    st.sampled_from(SUMMARY_SAMPLE_SIZES),
+    st.integers(0, 2**64 - 1),
+)
+@example((0, 100, 100, 9800), 2000, 3)
+@example((5, 15, 10, 970), 1001, 42)
+# Tables and seeds where a + d*t and b - d*(1 - t) round differently,
+# at q = 0.025 (t ~ 0.975) and at q = 0.975 (t ~ 0.025).
+@example((66, 106, 192, 196), 1000, 459945883)
+@example((31, 151, 109, 217), 1000, 3993684347)
+def test_summaries_equal_numpy_on_the_same_draws(cells, n_samples, seed):
+    table = ContingencyTable(*cells)
+    got = asdict(posterior_ic(table, n_samples=n_samples, seed=seed))
+    want = numpy_ic_summaries(posterior_gamma(table), n_samples, seed)
+    # repr tells -0.0 from 0.0, which == does not; the result CSVs print the sign.
+    assert {k: repr(v) for k, v in got.items()} == {
+        k: repr(v) for k, v in want.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "cells, alpha",
+    [
+        ((3, 20, 50, 5000), (0.4, 0.1, 0.3, 0.2)),  # gamma (3.4, 20.1, 50.3, 5000.2)
+        ((50, 0, 0, 0), None),
+        ((100, 300, 150, 9450), None),
+        ((2, 8, 8, 82), None),
+    ],
+)
+def test_interval_ends_sit_at_their_quadrature_cdf(cells, alpha):
+    # The k-th order statistic of n draws has F(X_(k)) ~ Beta(k, n + 1 - k)
+    # for any continuous F, with sd close to sqrt(q(1 - q)/n). Draws carry
+    # rounding error of a few ulps, so F is read at x -/+ delta: at
+    # a = n most draws lie within ulps of 0 (four in ten are exactly 0).
+    table = ContingencyTable(*cells)
+    prior = DirichletPrior(alpha) if alpha else default_prior(table)
+    gamma = posterior_gamma(table, prior)
+    n = 100_000
+    post = posterior_ic(table, prior, n_samples=n, seed=11)
+    assert post.n_floored == 0
+    for q, x in ((0.025, post.ci_low), (0.975, post.ci_high)):
+        tol = 4.0 * math.sqrt(q * (1.0 - q) / n)
+        delta = 1e-14 * (1.0 + abs(x))
+        assert ic_cdf(gamma, x - delta) - tol <= q <= ic_cdf(gamma, x + delta) + tol
 
 
 def test_balanced_independence_is_near_zero():

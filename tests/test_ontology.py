@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icborrow import SimilarityMatrix, build_similarity, load_ontology
+from icborrow import build_similarity, load_ontology
 from icborrow.errors import CycleError, ValidationError
 
-from conftest import all_pairs_similarity, make_ontology
+from conftest import (
+    all_pairs_similarity,
+    load_similarity_csv,
+    make_ontology,
+    save_similarity_csv,
+)
 from oracles import brute_mica_ic, brute_sokal, random_dag, seco_ic
 
 # Root plus A and B, with X under both (multi-parent), Y under A, Z under B.
@@ -174,25 +179,25 @@ def test_similarity_order_independence(tmp_path, chain_ontology):
     forward = build_similarity(chain_ontology, pts=["L1", "L2"], min_ssm=0.0)
     backward = build_similarity(chain_ontology, pts=["L2", "L1"], min_ssm=0.0)
     fwd, bwd = tmp_path / "fwd.csv", tmp_path / "bwd.csv"
-    forward.save_csv(str(fwd))
-    backward.save_csv(str(bwd))
+    save_similarity_csv(forward, str(fwd))
+    save_similarity_csv(backward, str(bwd))
     assert fwd.read_bytes() == bwd.read_bytes()
 
 
 def test_similarity_csv_round_trip(tmp_path, chain_ontology):
     matrix = build_similarity(chain_ontology, min_ssm=0.1)
     path = tmp_path / "sim.csv"
-    matrix.save_csv(str(path))
+    save_similarity_csv(matrix, str(path))
     text = path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "pt_a,pt_b,ssm"
     assert "L1,L2,0.200000" in text
-    again = SimilarityMatrix.load_csv(str(path), min_ssm=0.1)
+    again = load_similarity_csv(str(path), min_ssm=0.1)
     assert again.get("L1", "L2") == pytest.approx(0.2, abs=1e-6)
     assert again.neighbors("L1") == [("L2", 0.2)]
     with pytest.raises(ValidationError):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n", encoding="utf-8")
-        SimilarityMatrix.load_csv(str(bad), min_ssm=0.1)
+        load_similarity_csv(str(bad), min_ssm=0.1)
 
 
 @settings(max_examples=25, deadline=None)

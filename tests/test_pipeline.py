@@ -222,12 +222,16 @@ def test_run_batch_sorted_and_thread_invariant(basic_run):
 
 def test_run_batch_drug_filter(basic_run):
     store, _, similarity = basic_run
-    ctx = RunContext(
-        store,
-        small_config(methods=(METHOD_IC,), drug_filter=frozenset({"D001"})),
-    )
-    results = run_batch(ctx, [Q("2015Q4")])
-    assert results and all(r.drug == "D001" for r in results)
+    cfg = small_config(methods=(METHOD_IC,))
+    everything = run_batch(RunContext(store, cfg), [Q("2015Q4")])
+    kept = next(r for r in everything if r.drug == "D001")
+    other = next(r for r in everything if r.drug != "D001")
+    explicit = [(other.drug, other.event), (kept.drug, kept.event)]
+    for codes in ({"D001"}, {"D001", "NO_SUCH_DRUG"}):
+        ctx = RunContext(store, replace(cfg, drug_filter=frozenset(codes)))
+        results = run_batch(ctx, [Q("2015Q4")])
+        assert results == [r for r in everything if r.drug == "D001"]
+        assert run_batch(ctx, [Q("2015Q4")], pairs=explicit) == [kept]
 
 
 def test_run_batch_explicit_pairs(six_report_store):

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from icborrow import Quarter, quarter_range
+from icborrow import Quarter
 from icborrow.errors import ValidationError
+
+from conftest import quarter_range
 
 quarters = st.builds(
     Quarter, st.integers(min_value=1900, max_value=2400), st.integers(1, 4)

@@ -201,3 +201,10 @@ def test_loaded_counts_match_rescan_across_gaps_and_duplicates(tmp_path_factory,
             )
             assert loaded.active_pairs(cutoff, min_a) == brute
             assert built.active_pairs(cutoff, min_a) == brute
+            # A random drug subset, with codes the store may lack or never
+            # has, and a subset that matches nothing.
+            subset = [d for d in drugs + ["NO_DRUG"] if rng.random() < 0.5]
+            for wanted in (subset, ["NO_DRUG"], []):
+                filtered = [p for p in brute if p[0] in wanted]
+                for store in (loaded, built):
+                    assert store.active_pairs(cutoff, min_a, drugs=wanted) == filtered
