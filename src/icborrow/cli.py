@@ -134,8 +134,9 @@ _OUTPUT_DOCS = {
         "one row per screened (drug, event) pair per cutoff quarter; columns "
         "drug, event, cutoff, a, b, c, d (contingency cells), oe (observed/"
         "expected, empty when a margin is zero), pme (posterior mean), var, "
-        "ci_low, ci_high (central 95% bounds), signal (1 when ci_low clears "
-        "the threshold); borrowing methods add method, s_count (sources "
+        "ci_low, ci_high (central 95% bounds; when a = n, ci_high can sit on "
+        "a floating-point atom near 0), signal (1 when ci_low clears the "
+        "threshold); borrowing methods add method, s_count (sources "
         "used), tau2 (heterogeneity), w (prior weight), w_tilde (posterior "
         "weight), map_mu, map_v (pooled prior)"
     ),

@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .ic import IcPosterior, posterior_ic, signal_flag
 from .ontology import Ontology, SimilarityMatrix
 from .quarters import Quarter
-from .reports import ReportStore
+from .reports import ContingencyTable, ReportStore
 
 log = logging.getLogger(__name__)
 
@@ -218,11 +218,13 @@ class IcCache:
         self.n_samples = n_samples
         self._memo: dict[tuple[str, str, Quarter], IcPosterior] = {}
 
-    def posterior(self, drug: str, event: str, cutoff: Quarter) -> IcPosterior:
+    def posterior(
+        self, drug: str, event: str, cutoff: Quarter, table: ContingencyTable
+    ) -> IcPosterior:
+        """The posterior of one pair; ``table`` is the store's table for it."""
         key = (drug, event, cutoff)
         hit = self._memo.get(key)
         if hit is None:
-            table = self.store.contingency(drug, event, cutoff)
             hit = posterior_ic(
                 table,
                 n_samples=self.n_samples,
@@ -294,7 +296,7 @@ def _gather_sources(
         table = ctx.store.contingency(drug, pt, cutoff)
         if table.a < 1:
             continue
-        post = ctx.cache.posterior(drug, pt, cutoff)
+        post = ctx.cache.posterior(drug, pt, cutoff, table)
         if post.variance <= 0.0:
             log.warning(
                 "skipping degenerate source (%s, %s) at %s", drug, pt, cutoff
@@ -310,7 +312,7 @@ def analyze_pair(
     """All configured methods applied to one pair at one cutoff."""
     cfg = ctx.config
     table = ctx.store.contingency(drug, event, cutoff)
-    target = ctx.cache.posterior(drug, event, cutoff)
+    target = ctx.cache.posterior(drug, event, cutoff, table)
     base = dict(
         drug=drug,
         event=event,

@@ -2,15 +2,23 @@
 
 Everything here is written the slow, obvious way on purpose: set-based
 graph walks, digamma identities, dense grid searches, and quadrature. None
-of it shares code with the package under test.
+of it shares code with the package under test, except that
+``load_reports_by_line`` parses quarters with ``Quarter.parse`` and hands
+its columns to the package's own ``ReportStore`` build, so that a
+comparison covers the line parse alone.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 from scipy.special import betainc, betaincinv, digamma
+
+from icborrow import Quarter
+from icborrow.errors import ValidationError
+from icborrow.reports import ReportStore, _Columns
 
 
 # -- ontology ------------------------------------------------------------------
@@ -87,6 +95,77 @@ def rescan_table(reports, drug, event, cutoff):
             d += 1
     return a, b, c, d
 
+
+def load_reports_by_line(path: str, ontology=None) -> ReportStore:
+    """``load_reports`` as a loop over the file, one line at a time.
+
+    The same skip rule, checks in the same order with the same messages,
+    the same warnings in the same order (logged to the same logger), and
+    codes numbered on first sight.
+    """
+    log = logging.getLogger("icborrow.reports")
+    drug_codes: dict[str, int] = {}
+    event_codes: dict[str, int] = {}
+    quarter, n_drugs, n_events, drug_col, event_col = [], [], [], [], []
+    warnings: list[str] = []
+    latest: dict[str, int] = {}  # report id -> record index of its last line
+    record_line: list[int] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            head = line.lstrip()
+            if not head or head[0] == "#":
+                continue
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ValidationError(
+                    f"{path}:{lineno}: report row needs 4 tab-separated fields"
+                )
+            report_id, quarter_text, drug_field, event_field = fields
+            if not report_id:
+                raise ValidationError(f"{path}:{lineno}: empty report id")
+            try:
+                ordinal = Quarter.parse(quarter_text).ordinal
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            drugs = set(drug_field.split(";"))
+            drugs.discard("")
+            events = set(event_field.split(";"))
+            events.discard("")
+            if not drugs or not events:
+                raise ValidationError(
+                    f"{path}:{lineno}: report needs at least one drug and one event"
+                )
+            record = len(quarter)
+            quarter.append(ordinal)
+            n_drugs.append(len(drugs))
+            n_events.append(len(events))
+            drug_col.extend(drug_codes.setdefault(d, len(drug_codes)) for d in drugs)
+            event_col.extend(
+                event_codes.setdefault(e, len(event_codes)) for e in events
+            )
+            record_line.append(lineno)
+            previous = latest.get(report_id)
+            if previous is not None:
+                msg = (
+                    f"duplicate report id {report_id!r} at line {lineno} replaces "
+                    f"line {record_line[previous]}"
+                )
+                log.warning("%s: %s", path, msg)
+                warnings.append(msg)
+            latest[report_id] = record
+    if ontology is not None:
+        for code in sorted(set(event_codes) - set(ontology.pts())):
+            msg = f"event code {code!r} not present in the ontology"
+            log.warning("%s: %s", path, msg)
+            warnings.append(msg)
+    alive = np.zeros(len(record_line), dtype=bool)
+    alive[list(latest.values())] = True
+    ints = [
+        np.array(col, dtype=np.int64)
+        for col in (quarter, n_drugs, n_events, drug_col, event_col)
+    ]
+    return ReportStore(_Columns(drug_codes, event_codes, *ints), alive, warnings)
 
 # -- information component --------------------------------------------------------
 

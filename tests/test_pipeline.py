@@ -87,14 +87,15 @@ def test_derive_seed_is_stable_and_keyed():
 
 def test_ic_cache_memoizes(six_report_store):
     cache = IcCache(six_report_store, seed=0, n_samples=1_500)
-    a = cache.posterior("DRUG", "EV", Q("2015Q3"))
-    b = cache.posterior("DRUG", "EV", Q("2015Q3"))
+    table = six_report_store.contingency("DRUG", "EV", Q("2015Q3"))
+    a = cache.posterior("DRUG", "EV", Q("2015Q3"), table)
+    b = cache.posterior("DRUG", "EV", Q("2015Q3"), table)
     assert a is b
     cfg = small_config(methods=(METHOD_IC,), seed=0, n_samples=1_500)
     c1 = RunContext(six_report_store, cfg, cache=cache)
     c2 = RunContext(six_report_store, replace(cfg, threshold=1.0), cache=cache)
     assert c1.cache is c2.cache is cache
-    assert c2.cache.posterior("DRUG", "EV", Q("2015Q3")) is a
+    assert c2.cache.posterior("DRUG", "EV", Q("2015Q3"), table) is a
     with pytest.raises(ValidationError):
         RunContext(six_report_store, replace(cfg, seed=1), cache=cache)
     with pytest.raises(ValidationError):

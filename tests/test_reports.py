@@ -1,12 +1,15 @@
+import logging
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icborrow import ContingencyTable, Quarter, load_reports
+from icborrow import ContingencyTable, Quarter, load_ontology, load_reports, reports
 from icborrow.errors import ValidationError
 
-from conftest import make_store
-from oracles import rescan_table
+from conftest import CHAIN_ONTOLOGY, make_store
+from oracles import load_reports_by_line, rescan_table
 
 Q = Quarter.parse
 
@@ -101,16 +104,30 @@ def test_empty_file(tmp_path):
     assert store.quarters() == []
 
 
-@pytest.mark.parametrize(
-    "line",
-    ["R1\t2015Q1\tD1", "R1\tbadq\tD1\tE1", "R1\t2015Q1\t\tE1", "R1\t2015Q1\tD1\t"],
-)
+ROW_ERRORS = {
+    "R1\t2015Q1\tD1": "report row needs 4 tab-separated fields",
+    "R1\t2015Q1\tD1\tE1\tE2": "report row needs 4 tab-separated fields",
+    # 3 + 5 fields: as many as two good rows, each field in a good place.
+    "R1\t2015Q1\tD1\nE1\tR2\t2015Q1\tD1\tE1": (
+        "report row needs 4 tab-separated fields"
+    ),
+    "\t2015Q1\tD1\tE1": "empty report id",
+    "R1\tbadq\tD1\tE1": "bad quarter 'badq', expected YYYYQn",
+    "R1\t2015Q1\t\tE1": "report needs at least one drug and one event",
+    "R1\t2015Q1\t;;\tE1": "report needs at least one drug and one event",
+    "R1\t2015Q1\tD1\t": "report needs at least one drug and one event",
+}
+
+
+@pytest.mark.parametrize("line", list(ROW_ERRORS))
 def test_malformed_lines_rejected(tmp_path, line):
+    # Line numbers count every physical line: the comment and the blank
+    # line before the bad row, not only the rows.
     path = tmp_path / "bad.tsv"
-    path.write_text(line + "\n", encoding="utf-8")
+    path.write_text(f"# header\n\n{line}\nR2\t2015Q1\tD1\tE1\n", encoding="utf-8")
     with pytest.raises(ValidationError) as err:
         load_reports(str(path))
-    assert ":1:" in str(err.value)
+    assert str(err.value) == f"{path}:3: {ROW_ERRORS[line]}"
 
 
 def test_unknown_pt_warns_but_keeps(tmp_path, chain_ontology):
@@ -208,3 +225,104 @@ def test_loaded_counts_match_rescan_across_gaps_and_duplicates(tmp_path_factory,
                 filtered = [p for p in brute if p[0] in wanted]
                 for store in (loaded, built):
                     assert store.active_pairs(cutoff, min_a, drugs=wanted) == filtered
+
+
+# Codes may hold characters that str.splitlines() would break on; a file
+# line ends only at \n, \r\n or \r, so these stay inside their field.
+FILE_CODES = ["D1", "D2", "E1", "L1", "X\x1cY", "P Q", "V\x0bW"]
+# Comments (some with tabs), blank and whitespace-only lines, and
+# indented comments; \x1c is whitespace to str.lstrip().
+SKIPPED_LINES = ["#", "# note", "#\tx\ty", "", " ", " \t ", "\x1c", "  # x", "\t#\tx"]
+MALFORMED_ROWS = {
+    "3 fields": ["R9\t2015Q1\tD1"],
+    "5 fields": ["R9\t2015Q1\tD1\tE1\tE2"],
+    # 3 + 5 fields: 8 in all, as many as two good rows have, and every
+    # field in a good row's place would pass for it.
+    "3 then 5 fields": ["R9\t2015Q1\tD1", "E1\tR8\t2015Q1\tD1\tE1"],
+    "empty id": ["\t2015Q1\tD1\tE1"],
+    "bad quarter": ["R9\t2015Q5\tD1\tE1"],
+    "no drug": ["R9\t2015Q1\t;;\tE1"],
+    "no event": ["R9\t2015Q1\tD1\t"],
+}
+
+
+@st.composite
+def report_files(draw):
+    """Report file text with every kind of skipped line, line ending and
+    code list, and at most one malformed row."""
+    codes = st.lists(st.sampled_from(FILE_CODES + [""]), min_size=1, max_size=4)
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        skipped = draw(st.none() | st.sampled_from(SKIPPED_LINES))
+        if skipped is not None:
+            lines.append(skipped)
+            continue
+        drugs, events = draw(codes), draw(codes)
+        if not any(drugs):
+            drugs.append("D1")
+        if not any(events):
+            events.append("E1")
+        lines.append(
+            "\t".join(
+                [
+                    f"R{draw(st.integers(0, 9))}",
+                    draw(st.sampled_from(GAPPED_QUARTERS + [" 2015Q3"])),
+                    ";".join(drugs),
+                    ";".join(events),
+                ]
+            )
+        )
+    bad = draw(st.none() | st.sampled_from(sorted(MALFORMED_ROWS)))
+    if bad is not None:
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = MALFORMED_ROWS[bad]
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _load_outcome(load, path, ontology):
+    """What a loader returns or raises, and what it logs on the way."""
+    logger = logging.getLogger("icborrow.reports")
+    handler = _Messages()
+    logger.addHandler(handler)
+    try:
+        store = load(path, ontology)
+    except ValidationError as exc:
+        return ("error", str(exc)), handler.messages
+    finally:
+        logger.removeHandler(handler)
+    state = {
+        name: (value.dtype, value.tolist()) if isinstance(value, np.ndarray) else value
+        for name, value in vars(store).items()
+    }
+    return ("store", state, len(store), store.quarters()), handler.messages
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=report_files(), with_ontology=st.booleans())
+def test_block_loader_equals_line_loop(tmp_path_factory, text, with_ontology):
+    folder = tmp_path_factory.mktemp("blocks")
+    path = str(folder / "reports.tsv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    ontology = None
+    if with_ontology:
+        (folder / "chain.tsv").write_text(CHAIN_ONTOLOGY, encoding="utf-8")
+        ontology = load_ontology(str(folder / "chain.tsv"))
+    # Blocks of a few lines each: rows, new codes, duplicate ids and bad
+    # rows fall on both sides of block boundaries.
+    with patch.object(reports, "_BLOCK_CHARS", 64):
+        got = _load_outcome(load_reports, path, ontology)
+    assert got == _load_outcome(load_reports_by_line, path, ontology)
