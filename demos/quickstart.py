@@ -17,7 +17,7 @@ from icborrow import (
     generate,
     load_ontology,
     load_reports,
-    run_batch,
+    run_quarters,
 )
 from icborrow.synth import basic_scenario
 
@@ -33,7 +33,7 @@ def main() -> None:
     config = RunConfig(methods=(METHOD_IC,), n_samples=20_000, seed=0)
     ctx = RunContext(store=store, config=config)
     final = store.quarters()[-1]
-    results = run_batch(ctx, cutoffs=[final])
+    results = run_quarters(ctx, [final]).results
 
     flagged = sorted(
         (r for r in results if r.signal), key=lambda r: -r.ci_low

@@ -47,7 +47,6 @@ from .pipeline import (
     PairResult,
     RunConfig,
     RunContext,
-    run_batch,
     run_quarters,
 )
 from .quarters import Quarter
@@ -113,7 +112,6 @@ __all__ = [
     "quarterly_curves",
     "random_effects_map",
     "reml_tau2",
-    "run_batch",
     "run_quarters",
     "score",
     "signal_flag",

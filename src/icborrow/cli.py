@@ -208,15 +208,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ctx = _make_context(args, config)
     run = run_quarters(ctx)
     os.makedirs(args.out, exist_ok=True)
-    written = []
     for method in config.methods:
         name = f"results_{method}.csv"
         write_results_csv(run.results, method, os.path.join(args.out, name))
-        written.append("results_<METHOD>.csv")
     _write_snapshot(args.out, config)
-    _write_outputs_readme(
-        args.out, sorted(set(written)) + ["effective_config.txt"]
-    )
+    _write_outputs_readme(args.out, ["results_<METHOD>.csv", "effective_config.txt"])
     log.info("wrote %d result rows to %s", len(run.results), args.out)
     return 0
 

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .ontology import Ontology, SimilarityMatrix, build_similarity
+from .ontology import Ontology, build_similarity
 from .pipeline import METHOD_SSM, IcCache, RunConfig, RunContext, run_quarters
 from .quarters import Quarter
 from .reports import ReportStore
@@ -371,7 +371,6 @@ def parameter_sweep(
     config: RunConfig,
     grid: dict[str, list],
     ontology: Ontology | None = None,
-    similarity: SimilarityMatrix | None = None,
     strict_before: bool = True,
 ) -> list[SweepRow]:
     """One-at-a-time sweep around the reference configuration.
@@ -379,13 +378,15 @@ def parameter_sweep(
     grid maps a subset of {min_ssm, w, vague_sd, threshold} to value lists;
     ``w`` accepts numbers (fixed weight) or the string "max_ssm". The
     reference point is prepended to every axis so each sweep contains it.
-    Monte Carlo work is shared across points through a common cache.
+    Monte Carlo work is shared across points through a common cache, and
+    IC_SSM's similarity is built once from ``ontology`` at the grid's
+    lowest min_ssm.
     """
     points = sweep_points(config, grid)
-    needs_sim = METHOD_SSM in config.methods
-    if needs_sim and similarity is None:
+    similarity = None
+    if METHOD_SSM in config.methods:
         if ontology is None:
-            raise ValidationError("sweep needs an ontology or a similarity matrix")
+            raise ValidationError("sweep needs an ontology for IC_SSM")
         floor = min([config.min_ssm] + [v for v in grid.get("min_ssm", [])])
         similarity = build_similarity(ontology, min_ssm=floor)
 

@@ -34,12 +34,16 @@ class DirichletPrior:
             raise ValueError(f"prior pseudo-counts must be positive, got {self.alpha}")
 
 
-def default_prior(table: ContingencyTable, nu: float = 2.0) -> DirichletPrior:
-    """Marginal-product prior with total strength nu.
+# Total pseudo-count strength of the default prior.
+PRIOR_NU = 2.0
 
-    Cell shapes are nu * q_x * q_y etc. with q_x, q_y the observed drug and
-    event margins, clipped to [1/(N+2), 1 - 1/(N+2)] so every pseudo-count
-    stays positive even for empty or full margins.
+
+def default_prior(table: ContingencyTable) -> DirichletPrior:
+    """Marginal-product prior with total strength PRIOR_NU.
+
+    Cell shapes are PRIOR_NU * q_x * q_y etc. with q_x, q_y the observed
+    drug and event margins, clipped to [1/(N+2), 1 - 1/(N+2)] so every
+    pseudo-count stays positive even for empty or full margins.
     """
     n = table.n
     if n == 0:
@@ -49,10 +53,10 @@ def default_prior(table: ContingencyTable, nu: float = 2.0) -> DirichletPrior:
     q_y = min(max(table.event_margin / n, lo), 1.0 - lo)
     return DirichletPrior(
         (
-            nu * q_x * q_y,
-            nu * q_x * (1.0 - q_y),
-            nu * (1.0 - q_x) * q_y,
-            nu * (1.0 - q_x) * (1.0 - q_y),
+            PRIOR_NU * q_x * q_y,
+            PRIOR_NU * q_x * (1.0 - q_y),
+            PRIOR_NU * (1.0 - q_x) * q_y,
+            PRIOR_NU * (1.0 - q_x) * (1.0 - q_y),
         )
     )
 
@@ -83,7 +87,7 @@ def posterior_ic(
     table : ContingencyTable
         Observed counts; posterior shape is prior + counts.
     prior : DirichletPrior, optional
-        Defaults to the marginal-product prior with nu=2.
+        Defaults to the marginal-product prior of strength PRIOR_NU.
     n_samples : int
         Monte Carlo draws, at least 1000.
     seed : int

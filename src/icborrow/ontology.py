@@ -342,11 +342,6 @@ class SimilarityMatrix:
     min_ssm: float
     _adj: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    def get(self, pt_a: str, pt_b: str) -> float:
-        if pt_a == pt_b:
-            return 1.0
-        return self._adj.get(pt_a, {}).get(pt_b, 0.0)
-
     def neighbors(self, pt: str) -> list[tuple[str, float]]:
         """(neighbor, ssm) pairs sorted by code; self never included."""
         return sorted(self._adj.get(pt, {}).items())

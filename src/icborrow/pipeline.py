@@ -1,7 +1,7 @@
-"""Batch screening runs: every active pair, every quarter, every method.
+"""Screening runs: every active pair, every quarter, every method.
 
 Per-pair Monte Carlo streams are keyed by a hash of (run seed, drug, event,
-cutoff), so a batch gives bit-identical results regardless of worker count
+cutoff), so a run gives bit-identical results regardless of worker count
 or evaluation order, and the plain information component computed for a pair
 can be reused both as a target and as a borrowing source.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -77,6 +78,10 @@ class RunConfig:
             raise ValidationError(f"vague_sd must be positive, got {self.vague_sd}")
         if self.min_a < 1:
             raise ValidationError(f"min_a must be >= 1, got {self.min_a}")
+        if math.isnan(self.threshold):
+            raise ValidationError("threshold must be a number, got nan")
+        if self.start is not None and self.end is not None and self.start > self.end:
+            raise ValidationError(f"start {self.start} is after end {self.end}")
         if self.drug_filter is not None and not self.drug_filter:
             raise ValidationError("drug_filter must name at least one drug")
         if isinstance(self.w, str):
@@ -236,7 +241,7 @@ class IcCache:
 
 @dataclass
 class RunContext:
-    """Shared state for one or more batches over the same store and config.
+    """Shared state for one or more screens over the same store and config.
 
     A given cache must be over the same store, seed and n_samples.
     """
@@ -358,30 +363,45 @@ def analyze_pair(
     return results
 
 
-def run_batch(
-    ctx: RunContext,
-    cutoffs: list[Quarter],
-    pairs: list[tuple[str, str]] | None = None,
-) -> list[PairResult]:
-    """Screen pairs at each cutoff; results sorted (method, cutoff, drug, event).
+@dataclass
+class QuarterlyRun:
+    """One screen's verdicts, first alerts and cutoff quarters.
 
-    With pairs=None the pair set at each cutoff is every pair active there
-    (a >= config.min_a). Either way only pairs whose drug is in the
-    configured drug filter are screened.
+    ``results`` is in screening order: cutoff, then (drug, event), then the
+    methods in ``config.methods`` order. ``first_alerts[method]`` maps each
+    pair to the first cutoff at which that method flagged it.
+    """
+
+    results: list[PairResult]
+    first_alerts: dict[str, dict[tuple[str, str], Quarter]]
+    quarters: list[Quarter]
+
+
+def run_quarters(ctx: RunContext, quarters: list[Quarter] | None = None) -> QuarterlyRun:
+    """Cumulative screening of every active pair at each quarter.
+
+    At each cutoff the pairs are those with a >= config.min_a whose drug is
+    in the configured drug filter. With quarters=None the cutoffs are the
+    store's quarters within config.start..config.end.
     """
     cfg = ctx.config
-    if pairs is not None and cfg.drug_filter is not None:
-        pairs = [p for p in pairs if p[0] in cfg.drug_filter]
-    tasks: list[tuple[Quarter, str, str]] = []
-    for cutoff in sorted(cutoffs):
-        at_cutoff = (
-            pairs
-            if pairs is not None
-            else ctx.store.active_pairs(
-                cutoff, min_a=cfg.min_a, drugs=cfg.drug_filter
-            )
+    if quarters is None:
+        all_q = ctx.store.quarters()
+        if not all_q:
+            raise ValidationError("report store is empty")
+        lo = cfg.start or all_q[0]
+        hi = cfg.end or all_q[-1]
+        quarters = [q for q in all_q if lo <= q <= hi]
+        if not quarters:
+            raise ValidationError(f"no report quarters within {lo}..{hi}")
+    quarters = sorted(quarters)
+    tasks = [
+        (cutoff, drug, event)
+        for cutoff in quarters
+        for drug, event in ctx.store.active_pairs(
+            cutoff, min_a=cfg.min_a, drugs=cfg.drug_filter
         )
-        tasks.extend((cutoff, drug, event) for drug, event in at_cutoff)
+    ]
 
     def work(task: tuple[Quarter, str, str]) -> list[PairResult]:
         cutoff, drug, event = task
@@ -392,35 +412,9 @@ def run_batch(
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             chunks = list(pool.map(work, tasks))
-    flat = [r for chunk in chunks for r in chunk]
-    flat.sort(key=lambda r: (r.method, r.cutoff.ordinal, r.drug, r.event))
-    return flat
-
-
-@dataclass
-class QuarterlyRun:
-    results: list[PairResult]
-    first_alerts: dict[str, dict[tuple[str, str], Quarter]]
-    quarters: list[Quarter]
-
-
-def run_quarters(ctx: RunContext, quarters: list[Quarter] | None = None) -> QuarterlyRun:
-    """Cumulative screening at each quarter, recording first alerts per method."""
-    if quarters is None:
-        all_q = ctx.store.quarters()
-        if not all_q:
-            raise ValidationError("report store is empty")
-        lo = ctx.config.start or all_q[0]
-        hi = ctx.config.end or all_q[-1]
-        quarters = [q for q in all_q if lo <= q <= hi]
-        if not quarters:
-            raise ValidationError(f"no report quarters within {lo}..{hi}")
-    quarters = sorted(quarters)
-    results = run_batch(ctx, quarters)
-    first: dict[str, dict[tuple[str, str], Quarter]] = {
-        m: {} for m in ctx.config.methods
-    }
-    for r in results:  # already sorted by cutoff within each method
+    results = [r for chunk in chunks for r in chunk]
+    first: dict[str, dict[tuple[str, str], Quarter]] = {m: {} for m in cfg.methods}
+    for r in results:
         if r.signal:
             first[r.method].setdefault((r.drug, r.event), r.cutoff)
     return QuarterlyRun(results=results, first_alerts=first, quarters=quarters)
@@ -438,30 +432,22 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def result_rows(results: list[PairResult], method: str) -> list[str]:
-    rows = []
-    for r in results:
-        if r.method != method:
-            continue
-        base = (
-            f"{r.drug},{r.event},{r.cutoff},{r.a},{r.b},{r.c},{r.d},"
-            f"{_fmt(r.oe)},{_fmt(r.pme)},{_fmt(r.variance)},"
-            f"{_fmt(r.ci_low)},{_fmt(r.ci_high)},{int(r.signal)}"
-        )
-        if method == METHOD_IC:
-            rows.append(base)
-        else:
-            rows.append(
-                base
-                + f",{method},{r.s_count},{_fmt(r.tau2)},{_fmt(r.w)},"
-                + f"{_fmt(r.w_tilde)},{_fmt(r.map_mu)},{_fmt(r.map_v)}"
-            )
-    return rows
-
-
 def write_results_csv(results: list[PairResult], method: str, path: str) -> None:
-    header = _BASE_COLUMNS if method == METHOD_IC else _BORROW_COLUMNS
+    """One method's rows of ``results``, in their order, as a CSV file."""
+    borrowing = method != METHOD_IC
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in result_rows(results, method):
+        fh.write((_BORROW_COLUMNS if borrowing else _BASE_COLUMNS) + "\n")
+        for r in results:
+            if r.method != method:
+                continue
+            row = (
+                f"{r.drug},{r.event},{r.cutoff},{r.a},{r.b},{r.c},{r.d},"
+                f"{_fmt(r.oe)},{_fmt(r.pme)},{_fmt(r.variance)},"
+                f"{_fmt(r.ci_low)},{_fmt(r.ci_high)},{int(r.signal)}"
+            )
+            if borrowing:
+                row += (
+                    f",{method},{r.s_count},{_fmt(r.tau2)},{_fmt(r.w)},"
+                    f"{_fmt(r.w_tilde)},{_fmt(r.map_mu)},{_fmt(r.map_v)}"
+                )
             fh.write(row + "\n")

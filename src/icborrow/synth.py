@@ -387,16 +387,21 @@ def generate(scenario: Scenario, outdir: str) -> dict:
 def verify_manifest(outdir: str) -> bool:
     """Regenerate from the manifest's scenario echo and diff against the files.
 
-    Logs the first differing file and line; True only on an exact match.
+    Logs the first differing file and line, or why the manifest is missing
+    or its scenario cannot be regenerated; True only on an exact match.
     """
     try:
         with open(os.path.join(outdir, MANIFEST_FILE), encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         log.error("no %s in %s", MANIFEST_FILE, outdir)
         return False
-    scenario = scenario_from_echo(manifest["scenario"])
-    files, regenerated = render(scenario)
+    try:
+        manifest = json.loads(text)
+        files, regenerated = render(scenario_from_echo(manifest["scenario"]))
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        log.error("cannot regenerate the scenario in %s: %r", MANIFEST_FILE, exc)
+        return False
     for name, expected_text in files.items():
         path = os.path.join(outdir, name)
         try:

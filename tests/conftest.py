@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import tempfile
 
@@ -100,6 +101,23 @@ def make_store(rows: list[tuple[str, str, set, set]]) -> ReportStore:
         return load_reports(path)
 
 
+def break_scenario_echo(outdir, change) -> None:
+    """Rewrite outdir's manifest.json with change applied to its parsed JSON."""
+    path = outdir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    change(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+# Scenario echoes verify_manifest cannot rebuild a scenario from.
+MALFORMED_ECHOES = {
+    "missing-key": lambda m: m["scenario"].pop("label_lag"),
+    "not-an-object": lambda m: m.update(scenario=3),
+    "bad-quarter": lambda m: m["scenario"].update(start="2015Q5"),
+    "mistyped-count": lambda m: m["scenario"].update(n_reports="many"),
+}
+
+
 def all_pairs_similarity(ont: Ontology, codes: list[str], min_ssm: float) -> dict:
     """{(a, b): ssm} with a < b over every pair of codes, each one scored."""
     codes = sorted(set(codes))
@@ -117,6 +135,14 @@ def quarter_range(start: Quarter, end: Quarter) -> list[Quarter]:
     if end < start:
         raise ValueError(f"empty quarter range {start}..{end}")
     return [Quarter.from_ordinal(o) for o in range(start.ordinal, end.ordinal + 1)]
+
+
+def similarity_of(matrix: SimilarityMatrix, pt_a: str, pt_b: str) -> float:
+    """A matrix's stored similarity of two PTs: 1 for a PT with itself,
+    0 for a pair it does not keep."""
+    if pt_a == pt_b:
+        return 1.0
+    return dict(matrix.neighbors(pt_a)).get(pt_b, 0.0)
 
 
 SIMILARITY_HEADER = ["pt_a", "pt_b", "ssm"]

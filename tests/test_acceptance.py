@@ -29,7 +29,6 @@ from icborrow import (
     mixture_posterior,
     posterior_ic,
     reml_tau2,
-    run_batch,
     run_quarters,
     score,
 )
@@ -333,7 +332,7 @@ def test_borrowing_direction_on_synthetic_scenarios(tmp_path):
         ctx = RunContext(
             store=store, config=config, similarity=similarity, ontology=ontology
         )
-        results = run_batch(ctx, cutoffs=[store.quarters()[-1]])
+        results = run_quarters(ctx, [store.quarters()[-1]]).results
         flagged += sum(r.signal for r in results)
         total += len(results)
     false_rate = flagged / total

@@ -1,10 +1,13 @@
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from icborrow.cli import main
+
+from conftest import MALFORMED_ECHOES, break_scenario_echo
 
 BASE = [
     "--n-samples", "2000",
@@ -67,6 +70,17 @@ def test_generate_verify(dataset, tmp_path, capsys):
     reports.write_text(reports.read_text() + "R9999999\t2015Q1\tD000\tPT0000\n")
     assert main(["generate", "--verify", str(tampered)]) == 2
     assert json.loads(capsys.readouterr().out)["verified"] is False
+
+
+@pytest.mark.parametrize("kind", ["missing-key", "not-an-object", "mistyped-count"])
+def test_generate_verify_malformed_manifest(dataset, tmp_path, capsys, kind):
+    copy = tmp_path / "copy"
+    shutil.copytree(dataset, copy)
+    break_scenario_echo(copy, MALFORMED_ECHOES[kind])
+    assert main(["generate", "--verify", str(copy)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "verified": False, "dir": str(copy)
+    }
 
 
 def test_validate_summarizes_inputs(dataset, capsys):
@@ -218,7 +232,8 @@ def test_bad_config_value_names_key(dataset, tmp_path, capsys, bad):
 @pytest.mark.parametrize(
     "flag, value, key",
     [("--n-samples", "999", "n_samples"), ("--min-ssm", "7", "min_ssm"),
-     ("--vague-sd", "-1", "vague_sd"), ("--min-a", "-3", "min_a")],
+     ("--vague-sd", "-1", "vague_sd"), ("--min-a", "-3", "min_a"),
+     ("--threshold", "nan", "threshold")],
 )
 def test_out_of_range_config_fails_before_loading(
     tmp_path, capsys, flag, value, key
@@ -236,19 +251,35 @@ def test_out_of_range_config_fails_before_loading(
     assert not out.exists()
 
 
+def test_start_after_end_fails_before_loading(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(
+        ["run", "--reports", str(tmp_path / "missing.tsv"), "--out", str(out),
+         "--methods", "IC", "--start", "2016Q1", "--end", "2015Q1"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["message"] == "start 2016Q1 is after end 2015Q1"
+    assert not out.exists()
+
+
 def test_bad_sweep_grid_fails_before_loading(tmp_path, capsys):
     # Every sweep point's config is checked before the (missing) reports
     # file is opened, so this is exit 2, not the I/O error's exit 1.
     out = tmp_path / "x"
-    code = main(
-        ["sweep", "--reports", str(tmp_path / "missing.tsv"),
-         "--reference", str(tmp_path / "missing_ref.tsv"), "--out", str(out),
-         "--methods", "IC", "--grid", "vague_sd=-1"]
-    )
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValidationError" and "vague_sd" in err["message"]
-    assert not out.exists()
+    for key, values in [("vague_sd", "-1"), ("threshold", "nan")]:
+        code = main(
+            ["sweep", "--reports", str(tmp_path / "missing.tsv"),
+             "--reference", str(tmp_path / "missing_ref.tsv"), "--out", str(out),
+             "--methods", "IC", "--grid", f"{key}={values}"]
+        )
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError" and key in err["message"]
+        assert not out.exists()
 
 
 def test_empty_drug_filter_is_rejected(dataset, tmp_path, capsys):

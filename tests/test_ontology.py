@@ -12,6 +12,7 @@ from conftest import (
     load_similarity_csv,
     make_ontology,
     save_similarity_csv,
+    similarity_of,
 )
 from oracles import brute_mica_ic, brute_sokal, random_dag, seco_ic
 
@@ -168,11 +169,11 @@ def test_minimal_three_node_graph(tmp_path):
 def test_similarity_matrix_threshold(chain_ontology):
     # 0.2 pair survives at threshold 0, is dropped at the 0.3 default
     open_matrix = build_similarity(chain_ontology, min_ssm=0.0)
-    assert open_matrix.get("L1", "L2") == pytest.approx(0.2)
+    assert similarity_of(open_matrix, "L1", "L2") == pytest.approx(0.2)
     default = build_similarity(chain_ontology)
-    assert default.get("L1", "L2") == 0.0
+    assert similarity_of(default, "L1", "L2") == 0.0
     assert default.n_pairs() == 0
-    assert default.get("L1", "L1") == 1.0
+    assert similarity_of(default, "L1", "L1") == 1.0
 
 
 def test_similarity_order_independence(tmp_path, chain_ontology):
@@ -192,7 +193,7 @@ def test_similarity_csv_round_trip(tmp_path, chain_ontology):
     assert text.splitlines()[0] == "pt_a,pt_b,ssm"
     assert "L1,L2,0.200000" in text
     again = load_similarity_csv(str(path), min_ssm=0.1)
-    assert again.get("L1", "L2") == pytest.approx(0.2, abs=1e-6)
+    assert similarity_of(again, "L1", "L2") == pytest.approx(0.2, abs=1e-6)
     assert again.neighbors("L1") == [("L2", 0.2)]
     with pytest.raises(ValidationError):
         bad = tmp_path / "bad.csv"

@@ -14,7 +14,6 @@ from icborrow import (
     build_similarity,
     load_ontology,
     load_reports,
-    run_batch,
     run_quarters,
 )
 from icborrow.pipeline import (
@@ -23,7 +22,6 @@ from icborrow.pipeline import (
     config_snapshot,
     derive_seed,
     parse_config,
-    result_rows,
     write_results_csv,
 )
 from icborrow.synth import basic_scenario, concordant_scenario, generate
@@ -121,6 +119,8 @@ def test_ic_cache_memoizes(six_report_store):
         {"vague_sd": 0.0},
         {"min_a": -3},
         {"min_a": 0},
+        {"threshold": math.nan},
+        {"start": Q("2016Q1"), "end": Q("2015Q1")},
     ],
 )
 def test_config_validation(overrides):
@@ -171,8 +171,8 @@ def test_prior_weight_applies_to_both_borrowing_methods(
         similarity=build_similarity(chain_ontology, min_ssm=0.1),
         ontology=chain_ontology,
     )
-    results = run_batch(ctx, [Q("2015Q1")], pairs=[("D", "L1")])
-    by_method = {r.method: r for r in results}
+    results = run_quarters(ctx, [Q("2015Q1")]).results
+    by_method = {r.method: r for r in results if (r.drug, r.event) == ("D", "L1")}
     assert by_method[METHOD_IC].w is None
     assert by_method[METHOD_SSM].s_count == by_method[METHOD_HLGT].s_count == 1
     assert by_method[METHOD_SSM].w == ssm_w
@@ -205,41 +205,46 @@ def test_one_report_store_gives_one_row_per_method(chain_ontology, drugs, events
         assert r.ci_low <= r.ci_high
 
 
-def test_run_batch_sorted_and_thread_invariant(basic_run):
+def test_run_quarters_result_order_and_thread_invariance(basic_run):
+    # cutoff, then (drug, event), then the configured methods, at any
+    # thread count
     store, ontology, similarity = basic_run
-    cutoffs = [Q("2015Q2"), Q("2015Q4")]
+    cutoffs = [Q("2015Q4"), Q("2015Q2")]
+    cfg = small_config(methods=(METHOD_SSM, METHOD_IC))
     runs = []
     for threads in (1, 4):
-        ctx = RunContext(
-            store, small_config(threads=threads), similarity=similarity
-        )
-        runs.append(run_batch(ctx, cutoffs))
+        ctx = RunContext(store, replace(cfg, threads=threads), similarity=similarity)
+        runs.append(run_quarters(ctx, cutoffs).results)
     one, four = runs
     assert one == four
-    keys = [(r.method, r.cutoff.ordinal, r.drug, r.event) for r in one]
-    assert keys == sorted(keys)
-    assert {r.method for r in one} == {METHOD_IC, METHOD_SSM}
+    keys = [(r.cutoff, r.drug, r.event, r.method) for r in one]
+    expected = [
+        (q, drug, event, method)
+        for q in sorted(cutoffs)
+        for drug, event in sorted(store.active_pairs(q))
+        for method in cfg.methods
+    ]
+    assert keys == expected
+    assert len({k[:3] for k in keys}) > 100
 
 
-def test_run_batch_drug_filter(basic_run):
+def test_run_quarters_drug_filter(basic_run):
     store, _, similarity = basic_run
     cfg = small_config(methods=(METHOD_IC,))
-    everything = run_batch(RunContext(store, cfg), [Q("2015Q4")])
-    kept = next(r for r in everything if r.drug == "D001")
-    other = next(r for r in everything if r.drug != "D001")
-    explicit = [(other.drug, other.event), (kept.drug, kept.event)]
+    everything = run_quarters(RunContext(store, cfg), [Q("2015Q4")]).results
+    assert {r.drug for r in everything} > {"D001"}
     for codes in ({"D001"}, {"D001", "NO_SUCH_DRUG"}):
         ctx = RunContext(store, replace(cfg, drug_filter=frozenset(codes)))
-        results = run_batch(ctx, [Q("2015Q4")])
+        results = run_quarters(ctx, [Q("2015Q4")]).results
         assert results == [r for r in everything if r.drug == "D001"]
-        assert run_batch(ctx, [Q("2015Q4")], pairs=explicit) == [kept]
 
 
-def test_run_batch_explicit_pairs(six_report_store):
+def test_run_quarters_hand_counted_table(six_report_store):
     ctx = RunContext(six_report_store, small_config(methods=(METHOD_IC,)))
-    results = run_batch(ctx, [Q("2015Q4")], pairs=[("DRUG", "EV")])
-    assert len(results) == 1
-    r = results[0]
+    results = run_quarters(ctx, [Q("2015Q4")]).results
+    matches = [r for r in results if (r.drug, r.event) == ("DRUG", "EV")]
+    assert len(matches) == 1
+    r = matches[0]
     assert (r.a, r.b, r.c, r.d) == (2, 1, 1, 2)
     assert r.oe == pytest.approx(6 * 2 / (3 * 3))
 
@@ -297,45 +302,68 @@ def test_run_quarters_empty_window(six_report_store):
         run_quarters(ctx)
 
 
-def test_result_rows_and_csv(tmp_path, six_report_store, chain_ontology):
+def csv_rows(tmp_path, results, method):
+    """write_results_csv's lines for one method: the header, then the rows."""
+    path = tmp_path / f"results_{method}.csv"
+    write_results_csv(results, method, str(path))
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def test_results_csv(tmp_path, six_report_store, chain_ontology):
     similarity = build_similarity(chain_ontology, min_ssm=0.1)
     ctx = RunContext(
         six_report_store,
         small_config(min_ssm=0.1),
         similarity=similarity,
     )
-    results = run_batch(ctx, [Q("2015Q4")], pairs=[("DRUG", "EV")])
+    results = [
+        r
+        for r in run_quarters(ctx, [Q("2015Q4")]).results
+        if (r.drug, r.event) == ("DRUG", "EV")
+    ]
 
-    ic_rows = result_rows(results, METHOD_IC)
+    ic_header, *ic_rows = csv_rows(tmp_path, results, METHOD_IC)
+    assert ic_header == "drug,event,cutoff,a,b,c,d,oe,pme,var,ci_low,ci_high,signal"
     assert len(ic_rows) == 1
     fields = ic_rows[0].split(",")
     assert fields[:8] == ["DRUG", "EV", "2015Q4", "2", "1", "1", "2", "1.333333"]
     assert fields[12] in {"0", "1"}
+    assert len(fields) == 13
 
-    ssm_rows = result_rows(results, METHOD_SSM)
+    ssm_header, *ssm_rows = csv_rows(tmp_path, results, METHOD_SSM)
+    assert ssm_header == ic_header + ",method,s_count,tau2,w,w_tilde,map_mu,map_v"
     assert len(ssm_rows) == 1
     ssm_fields = ssm_rows[0].split(",")
+    assert ssm_fields[:8] == fields[:8]
     assert ssm_fields[13] == METHOD_SSM
     assert len(ssm_fields) == 20
 
-    path = tmp_path / "out.csv"
-    write_results_csv(results, METHOD_SSM, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].endswith(",method,s_count,tau2,w,w_tilde,map_mu,map_v")
-    assert lines[1] == ssm_rows[0]
+
+def test_results_csv_keeps_run_order_per_method(tmp_path, six_report_store):
+    run = run_quarters(RunContext(six_report_store, small_config(methods=(METHOD_IC,))))
+    _, *rows = csv_rows(tmp_path, run.results, METHOD_IC)
+    keys = [tuple(row.split(",")[:3]) for row in rows]
+    assert keys == [(r.drug, r.event, str(r.cutoff)) for r in run.results]
+    assert len({cutoff for _, _, cutoff in keys}) == 4
 
 
-def test_no_sources_leaves_borrow_columns_blank(six_report_store, chain_ontology):
+def test_no_sources_leaves_borrow_columns_blank(
+    tmp_path, six_report_store, chain_ontology
+):
     # at the default 0.3 cutoff the chain ontology has no qualifying pairs
     similarity = build_similarity(chain_ontology)
     ctx = RunContext(six_report_store, small_config(), similarity=similarity)
-    results = run_batch(ctx, [Q("2015Q4")], pairs=[("DRUG", "EV")])
+    results = [
+        r
+        for r in run_quarters(ctx, [Q("2015Q4")]).results
+        if (r.drug, r.event) == ("DRUG", "EV")
+    ]
     ssm = next(r for r in results if r.method == METHOD_SSM)
     ic = next(r for r in results if r.method == METHOD_IC)
     assert ssm.s_count == 0
     assert ssm.tau2 is None and ssm.w is None and ssm.w_tilde is None
     assert (ssm.pme, ssm.variance) == (ic.pme, ic.variance)
-    row = result_rows(results, METHOD_SSM)[0]
+    _, row = csv_rows(tmp_path, results, METHOD_SSM)
     assert row.endswith(f",{METHOD_SSM},0,,,,,")
 
 

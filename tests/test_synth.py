@@ -31,6 +31,8 @@ from icborrow.synth import (
     _scenario_echo,
 )
 
+from conftest import MALFORMED_ECHOES, break_scenario_echo, similarity_of
+
 Q = Quarter.parse
 
 
@@ -75,6 +77,21 @@ def test_verify_manifest_catches_edits(tmp_path):
 
 def test_verify_manifest_requires_manifest(tmp_path):
     assert not verify_manifest(str(tmp_path))
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_ECHOES))
+def test_verify_manifest_rejects_malformed_scenario(tmp_path, caplog, kind):
+    outdir = tmp_path / kind
+    generate(basic_scenario(seed=7), str(outdir))
+    break_scenario_echo(outdir, MALFORMED_ECHOES[kind])
+    assert not verify_manifest(str(outdir))
+    assert "cannot regenerate the scenario" in caplog.text
+
+
+def test_verify_manifest_rejects_text_that_is_not_json(tmp_path, caplog):
+    (tmp_path / "manifest.json").write_text("{not json", encoding="utf-8")
+    assert not verify_manifest(str(tmp_path))
+    assert "cannot regenerate the scenario" in caplog.text
 
 
 def test_verify_manifest_empty_scenario(tmp_path):
@@ -123,7 +140,7 @@ def test_designed_ssm_matches_built_similarity(basic_dir):
     (designed,) = manifest["designed_ssm"]
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            assert similarity.get(a, b) == pytest.approx(designed, abs=1e-9)
+            assert similarity_of(similarity, a, b) == pytest.approx(designed, abs=1e-9)
 
 
 def test_infeasible_similarity_target_names_requirement():
@@ -233,7 +250,7 @@ def test_null_scenario_keeps_plain_ic_quiet(tmp_path):
     Pooled over 20 seeds the false-signal rate at threshold 0 must stay
     under 5%.
     """
-    from icborrow import METHOD_IC, RunConfig, RunContext, run_batch
+    from icborrow import METHOD_IC, RunConfig, RunContext, run_quarters
 
     flagged = 0
     total = 0
@@ -243,7 +260,8 @@ def test_null_scenario_keeps_plain_ic_quiet(tmp_path):
         generate(null_scenario(seed=seed), str(outdir))
         store = load_reports(str(outdir / "reports.tsv"))
         cfg = RunConfig(methods=(METHOD_IC,), n_samples=2_000, seed=seed)
-        results = run_batch(RunContext(store, cfg), [store.quarters()[-1]])
+        ctx = RunContext(store, cfg)
+        results = run_quarters(ctx, [store.quarters()[-1]]).results
         flagged += sum(1 for r in results if r.signal)
         total += len(results)
         oes.extend(r.oe for r in results if r.oe is not None)
