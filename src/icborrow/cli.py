@@ -199,6 +199,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             summary["negative_control_flags"] = check_negative_controls(
                 entries, ontology
             )
+            summary["reference_pts_not_in_ontology"] = sorted(
+                {e.pt for e in entries if e.pt not in ontology.concepts}
+            )
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

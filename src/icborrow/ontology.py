@@ -11,6 +11,7 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CycleError, ValidationError
 
@@ -35,18 +36,20 @@ class Ontology:
     isa_parents: dict[str, tuple[str, ...]]
     meddra_parents: dict[str, tuple[str, ...]]
 
-    # Lazy caches; keyed structures are rebuilt on demand, never mutated after.
-    _ic: dict[str, float] | None = field(default=None, repr=False)
-    _ancestors: dict[str, frozenset[str]] | None = field(default=None, repr=False)
-    _anc_by_ic: dict[str, tuple[str, ...]] | None = field(default=None, repr=False)
-    _groups: dict[str, dict[str, frozenset[str]]] = field(default_factory=dict, repr=False)
-    _group_members: dict[str, dict[str, frozenset[str]]] = field(default_factory=dict, repr=False)
-
     def __len__(self) -> int:
         return len(self.concepts)
 
     def pts(self) -> list[str]:
         return sorted(c.code for c in self.concepts.values() if c.level == "PT")
+
+    # One reflexive-ancestor closure per edge kind; every relation reads them.
+    @cached_property
+    def _isa_closure(self) -> dict[str, frozenset[str]]:
+        return _closure(self.isa_parents, self.concepts)
+
+    @cached_property
+    def _meddra_closure(self) -> dict[str, frozenset[str]]:
+        return _closure(self.meddra_parents, self.concepts)
 
     # -- intrinsic information content -------------------------------------
 
@@ -57,69 +60,40 @@ class Ontology:
         descendants exclude c itself and N is the total concept count. Leaves
         score 1, a root subsuming everything scores 0.
         """
-        if self._ic is None:
-            n = len(self.concepts)
-            if n < 2:
-                raise ValidationError(
-                    "intrinsic information content needs at least 2 concepts"
-                )
-            counts = self._isa_descendant_counts()
-            log_n = math.log(n)
-            self._ic = {
-                code: 1.0 - math.log(counts[code] + 1) / log_n for code in self.concepts
-            }
-        return self._ic
+        return self._ic_table
 
-    def _isa_children(self) -> dict[str, list[str]]:
-        children: dict[str, list[str]] = {code: [] for code in self.concepts}
-        for child, parents in self.isa_parents.items():
-            for p in parents:
-                children[p].append(child)
-        return children
-
-    def _isa_descendant_counts(self) -> dict[str, int]:
-        # Descendant *sets* (not subtree sums): multi-parent nodes must be
-        # counted once per ancestor.
-        return {code: len(s) - 1 for code, s in self._isa_descendant_sets().items()}
-
-    def _isa_descendant_sets(self) -> dict[str, set[str]]:
-        children = self._isa_children()
-        order = _topo_order(self.isa_parents, self.concepts)
-        desc: dict[str, set[str]] = {}
-        for code in order:  # parents come after children
-            s = {code}
-            for ch in children[code]:
-                s |= desc[ch]
-            desc[code] = s
-        return desc
+    @cached_property
+    def _ic_table(self) -> dict[str, float]:
+        n = len(self.concepts)
+        if n < 2:
+            raise ValidationError(
+                "intrinsic information content needs at least 2 concepts"
+            )
+        # Codes whose closure holds c: its descendants plus c itself, each
+        # counted once however many paths lead up to c.
+        counts = dict.fromkeys(self.concepts, 0)
+        for closure in self._isa_closure.values():
+            for code in closure:
+                counts[code] += 1
+        log_n = math.log(n)
+        return {code: 1.0 - math.log(counts[code]) / log_n for code in self.concepts}
 
     # -- ancestors and similarity -------------------------------------------
 
     def ancestors(self, code: str) -> frozenset[str]:
         """Reflexive ISA ancestor set (includes code itself)."""
-        if self._ancestors is None:
-            order = _topo_order(self.isa_parents, self.concepts)
-            anc: dict[str, frozenset[str]] = {}
-            for code_ in reversed(order):  # roots first
-                s = {code_}
-                for p in self.isa_parents.get(code_, ()):
-                    s |= anc[p]
-                anc[code_] = frozenset(s)
-            self._ancestors = anc
         try:
-            return self._ancestors[code]
+            return self._isa_closure[code]
         except KeyError:
             raise ValidationError(f"unknown concept code {code!r}") from None
 
-    def _ancestors_by_ic(self, code: str) -> tuple[str, ...]:
-        if self._anc_by_ic is None:
-            self._anc_by_ic = {}
-        cached = self._anc_by_ic.get(code)
-        if cached is None:
-            ic = self.intrinsic_ic()
-            cached = tuple(sorted(self.ancestors(code), key=lambda c: (-ic[c], c)))
-            self._anc_by_ic[code] = cached
-        return cached
+    @cached_property
+    def _ancestors_by_ic(self) -> dict[str, tuple[str, ...]]:
+        ic = self.intrinsic_ic()
+        return {
+            code: tuple(sorted(closure, key=lambda c: (-ic[c], c)))
+            for code, closure in self._isa_closure.items()
+        }
 
     def mica_ic(self, code_a: str, code_b: str) -> float:
         """Information content of the maximum-IC common ISA ancestor.
@@ -127,7 +101,9 @@ class Ontology:
         Returns 0.0 when the two concepts share no ancestor.
         """
         anc_b = self.ancestors(code_b)
-        for cand in self._ancestors_by_ic(code_a):  # descending IC, early exit
+        if code_a not in self.concepts:
+            raise ValidationError(f"unknown concept code {code_a!r}")
+        for cand in self._ancestors_by_ic[code_a]:  # descending IC, early exit
             if cand in anc_b:
                 return self.intrinsic_ic()[cand]
         return 0.0
@@ -154,29 +130,17 @@ class Ontology:
     # -- MedDRA grouping -----------------------------------------------------
 
     def meddra_groups(self, pt: str, level: str) -> frozenset[str]:
-        """Codes of the given level reachable from pt via MEDDRA edges."""
+        """Codes of the given level reachable from pt via MEDDRA edges.
+
+        A code outside the ontology has no groups.
+        """
         if level not in LEVELS:
             raise ValueError(f"unknown level {level!r}")
-        by_level = self._groups.setdefault(level, {})
-        hit = by_level.get(pt)
-        if hit is None:
-            if pt not in self.concepts:
-                raise ValidationError(f"unknown concept code {pt!r}")
-            found: set[str] = set()
-            stack = [pt]
-            seen = {pt}
-            while stack:
-                cur = stack.pop()
-                for parent in self.meddra_parents.get(cur, ()):
-                    if parent in seen:
-                        continue
-                    seen.add(parent)
-                    if self.concepts[parent].level == level:
-                        found.add(parent)
-                    stack.append(parent)
-            hit = frozenset(found)
-            by_level[pt] = hit
-        return hit
+        return frozenset(
+            code
+            for code in self._meddra_closure.get(pt, ())
+            if code != pt and self.concepts[code].level == level
+        )
 
     def hlt_of(self, pt: str) -> frozenset[str]:
         return self.meddra_groups(pt, "HLT")
@@ -194,23 +158,33 @@ class Ontology:
         if not own:
             log.warning("PT %s has no HLGT ancestor; no group neighbors", pt)
             return []
-        members = self._members_index("HLGT")
         out: set[str] = set()
         for g in own:
-            out |= members.get(g, frozenset())
+            out.update(self._hlgt_members.get(g, ()))
         out.discard(pt)
         return sorted(out)
 
-    def _members_index(self, level: str) -> dict[str, frozenset[str]]:
-        idx = self._group_members.get(level)
-        if idx is None:
-            acc: dict[str, set[str]] = {}
-            for pt in self.pts():
-                for g in self.meddra_groups(pt, level):
-                    acc.setdefault(g, set()).add(pt)
-            idx = {g: frozenset(s) for g, s in acc.items()}
-            self._group_members[level] = idx
-        return idx
+    @cached_property
+    def _hlgt_members(self) -> dict[str, set[str]]:
+        """HLGT code -> the PTs under it."""
+        members: dict[str, set[str]] = {}
+        for pt in self.pts():
+            for g in self.meddra_groups(pt, "HLGT"):
+                members.setdefault(g, set()).add(pt)
+        return members
+
+
+def _closure(
+    parents: dict[str, tuple[str, ...]], concepts: dict
+) -> dict[str, frozenset[str]]:
+    """Reflexive ancestor set of every concept over one parent map."""
+    closure: dict[str, frozenset[str]] = {}
+    for code in reversed(_topo_order(parents, concepts)):  # roots first
+        s = {code}
+        for p in parents.get(code, ()):
+            s |= closure[p]
+        closure[code] = frozenset(s)
+    return closure
 
 
 def _topo_order(parents: dict[str, tuple[str, ...]], concepts: dict) -> list[str]:
@@ -339,7 +313,6 @@ def _validate(ont: Ontology) -> None:
 class SimilarityMatrix:
     """Symmetric sparse PT-pair similarity, storing only values above min_ssm."""
 
-    min_ssm: float
     _adj: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def neighbors(self, pt: str) -> list[tuple[str, float]]:
@@ -370,7 +343,7 @@ def build_similarity(
     if not min_ssm >= 0.0:
         raise ValidationError(f"min_ssm must be >= 0, got {min_ssm!r}")
     codes = sorted(set(pts if pts is not None else ont.pts()))
-    out = SimilarityMatrix(min_ssm=min_ssm)
+    out = SimilarityMatrix()
     if len(codes) < 2:
         return out
     members: dict[str, list[str]] = {}  # ancestor -> sorted codes under it

@@ -69,6 +69,21 @@ class Scenario:
     label_lag: int = 4
     negatives_per_drug: int = 10
 
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("n_drugs", 1),
+            ("n_pts", 1),
+            ("n_reports", 0),
+            ("n_quarters", 1),
+            ("negatives_per_drug", 0),
+            ("seed", 0),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ValidationError(
+                    f"scenario {name} must be an integer >= {least}, got {value!r}"
+                )
+
 
 def drug_code(i: int) -> str:
     return f"D{i:03d}"

@@ -76,14 +76,20 @@ def six_report_store(six_report_path):
     return load_reports(six_report_path)
 
 
-def make_ontology(parents: dict, codes: list[str], levels: dict | None = None) -> Ontology:
-    """Assemble an Ontology directly from a parent map (ISA edges only)."""
+def make_ontology(
+    parents: dict,
+    codes: list[str],
+    levels: dict | None = None,
+    meddra_parents: dict | None = None,
+) -> Ontology:
+    """Assemble an Ontology directly from an ISA parent map and, optionally,
+    a MEDDRA one."""
     levels = levels or {}
     concepts = {c: Concept(c, levels.get(c, "OTHER"), c.lower()) for c in codes}
     return Ontology(
         concepts=concepts,
         isa_parents={c: tuple(ps) for c, ps in parents.items()},
-        meddra_parents={},
+        meddra_parents={c: tuple(ps) for c, ps in (meddra_parents or {}).items()},
     )
 
 
@@ -115,6 +121,7 @@ MALFORMED_ECHOES = {
     "not-an-object": lambda m: m.update(scenario=3),
     "bad-quarter": lambda m: m["scenario"].update(start="2015Q5"),
     "mistyped-count": lambda m: m["scenario"].update(n_reports="many"),
+    "zero-quarters": lambda m: m["scenario"].update(n_quarters=0),
 }
 
 
@@ -162,7 +169,7 @@ def save_similarity_csv(matrix: SimilarityMatrix, path: str) -> None:
 
 def load_similarity_csv(path: str, min_ssm: float) -> SimilarityMatrix:
     """A matrix from pt_a,pt_b,ssm rows, keeping the values above min_ssm."""
-    out = SimilarityMatrix(min_ssm=min_ssm)
+    out = SimilarityMatrix()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

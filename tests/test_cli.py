@@ -72,7 +72,9 @@ def test_generate_verify(dataset, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verified"] is False
 
 
-@pytest.mark.parametrize("kind", ["missing-key", "not-an-object", "mistyped-count"])
+@pytest.mark.parametrize(
+    "kind", ["missing-key", "not-an-object", "mistyped-count", "zero-quarters"]
+)
 def test_generate_verify_malformed_manifest(dataset, tmp_path, capsys, kind):
     copy = tmp_path / "copy"
     shutil.copytree(dataset, copy)
@@ -83,6 +85,27 @@ def test_generate_verify_malformed_manifest(dataset, tmp_path, capsys, kind):
     }
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--preset", "null", "--n-quarters", "0"], "n_quarters"),
+        (["--preset", "basic", "--negatives-per-drug", "-3"], "negatives_per_drug"),
+        (["--n-reports", "-5"], "n_reports"),
+        (["--n-drugs", "0"], "n_drugs"),
+        (["--seed", "-1"], "seed"),
+    ],
+)
+def test_generate_rejects_sizes_it_cannot_render(tmp_path, capsys, flags, field):
+    out = tmp_path / "out"
+    assert main(["generate", "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert field in payload["message"]
+    assert not out.exists()
+
+
 def test_validate_summarizes_inputs(dataset, capsys):
     assert main(["validate"] + io_args(dataset)) == 0
     summary = json.loads(capsys.readouterr().out)
@@ -91,6 +114,23 @@ def test_validate_summarizes_inputs(dataset, capsys):
     assert summary["load_warnings"] == []
     assert summary["pts"] == 48
     assert summary["reference"] == {"positives": 3, "negatives": 16}
+    assert summary["negative_control_flags"] == []
+    assert summary["reference_pts_not_in_ontology"] == []
+
+
+def test_validate_lists_reference_pts_missing_from_ontology(dataset, tmp_path, capsys):
+    reference = tmp_path / "reference.tsv"
+    reference.write_text(
+        (dataset / "reference.tsv").read_text(encoding="utf-8")
+        + "D000\tTYPO_PT\tNEGATIVE\n"
+        + "D001\tA_TYPO\tNEGATIVE\n",
+        encoding="utf-8",
+    )
+    args = io_args(dataset, with_reference=False) + ["--reference", str(reference)]
+    assert main(["validate"] + args) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["reference"] == {"positives": 3, "negatives": 18}
+    assert summary["reference_pts_not_in_ontology"] == ["A_TYPO", "TYPO_PT"]
     assert summary["negative_control_flags"] == []
 
 

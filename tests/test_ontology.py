@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from icborrow import build_similarity, load_ontology
 from icborrow.errors import CycleError, ValidationError
+from icborrow.ontology import LEVELS
 
 from conftest import (
     all_pairs_similarity,
@@ -14,7 +15,7 @@ from conftest import (
     save_similarity_csv,
     similarity_of,
 )
-from oracles import brute_mica_ic, brute_sokal, random_dag, seco_ic
+from oracles import bfs_ancestors, brute_mica_ic, brute_sokal, random_dag, seco_ic
 
 # Root plus A and B, with X under both (multi-parent), Y under A, Z under B.
 DIAMOND_PARENTS = {
@@ -77,6 +78,7 @@ def test_meddra_grouping(chain_ontology):
     assert chain_ontology.hlgt_neighbors("L1") == ["L2"]
     assert chain_ontology.hlgt_neighbors("L2") == ["L1"]
     assert chain_ontology.hlgt_neighbors("NOT_A_PT") == []
+    assert chain_ontology.hlt_of("NOT_A_PT") == frozenset()
 
 
 def test_hlgt_neighbors_union_across_groups(tmp_path):
@@ -222,6 +224,37 @@ def test_random_dags_match_brute_force(seed, n_nodes):
             assert s == pytest.approx(brute_sokal(parents, codes, a, b), abs=1e-12)
             assert 0.0 <= s <= 1.0
             assert s == pytest.approx(ont.sokal_sneath(b, a), abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(6, 30))
+def test_random_meddra_grouping_matches_brute_force(seed, n_nodes):
+    # Both edge kinds over one code set, levels drawn at random. The last
+    # code is a PT directly under two HLGTs; the one before it is an HLT
+    # under the first of them, so group lookups also start from a non-PT.
+    rng = np.random.default_rng(seed)
+    codes = [f"C{i:03d}" for i in range(n_nodes)]
+    isa = random_dag(rng, n_nodes)
+    meddra = {c: ps for c, ps in random_dag(rng, n_nodes).items() if rng.random() < 0.8}
+    levels = {c: str(rng.choice(LEVELS)) for c in codes}
+    g1, g2 = (codes[int(i)] for i in rng.choice(n_nodes - 2, size=2, replace=False))
+    levels.update({g1: "HLGT", g2: "HLGT", codes[-2]: "HLT", codes[-1]: "PT"})
+    meddra[codes[-2]] = (g1,)
+    meddra[codes[-1]] = tuple(sorted((g1, g2)))
+    ont = make_ontology(isa, codes, levels, meddra)
+
+    def groups(code, level):
+        return {a for a in bfs_ancestors(meddra, code) - {code} if levels[a] == level}
+
+    pts = [c for c in codes if levels[c] == "PT"]
+    assert groups(codes[-1], "HLGT") >= {g1, g2}
+    for code in codes:
+        assert ont.hlt_of(code) == groups(code, "HLT")
+        own = groups(code, "HLGT")
+        assert ont.meddra_groups(code, "HLGT") == own
+        expected = sorted(p for p in pts if p != code and own & groups(p, "HLGT"))
+        assert ont.hlgt_neighbors(code) == expected
+    assert codes[-1] in ont.hlgt_neighbors(codes[-2])
 
 
 @settings(max_examples=40, deadline=None)
