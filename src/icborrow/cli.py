@@ -8,9 +8,12 @@ are emitted as one-line JSON objects on stderr; stdout carries data only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fnmatch
 import json
 import logging
 import os
+import shutil
 import sys
 
 from ._version import __version__
@@ -36,6 +39,7 @@ from .pipeline import (
     METHOD_HLGT,
     METHOD_SSM,
     METHODS,
+    QuarterlyRun,
     RunConfig,
     RunContext,
     config_snapshot,
@@ -110,23 +114,17 @@ def _read_code_list(path: str) -> list[str]:
     return codes
 
 
-def _make_context(args: argparse.Namespace, config: RunConfig) -> RunContext:
+def _screen(args: argparse.Namespace, config: RunConfig) -> QuarterlyRun:
+    """Load the inputs and screen them with every configured method."""
     ontology = load_ontology(args.ontology) if args.ontology else None
     store = load_reports(args.reports, ontology)
     similarity = None
     if METHOD_SSM in config.methods:
         log.info("building similarity matrix (threshold %.3g)", config.min_ssm)
         similarity = build_similarity(ontology, min_ssm=config.min_ssm)
-    return RunContext(
+    return run_quarters(RunContext(
         store=store, config=config, similarity=similarity, ontology=ontology
-    )
-
-
-def _write_snapshot(outdir: str, config: RunConfig) -> None:
-    with open(
-        os.path.join(outdir, "effective_config.txt"), "w", encoding="utf-8"
-    ) as fh:
-        fh.write(config_snapshot(config))
+    ))
 
 
 _OUTPUT_DOCS = {
@@ -169,13 +167,55 @@ _OUTPUT_DOCS = {
 }
 
 
-def _write_outputs_readme(outdir: str, files: list[str]) -> None:
-    lines = ["# Output files", ""]
-    for name in files:
-        lines.append(f"- `{name}`: {_OUTPUT_DOCS[name]}")
-    lines.append("")
-    with open(os.path.join(outdir, "README.md"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+@contextlib.contextmanager
+def _output_dir(out: str, config: RunConfig):
+    """Yield a new sibling directory of out. On success add effective_config.txt
+    and a README.md of the files present, then rename it to out, replacing an
+    earlier output directory (one holding effective_config.txt) whole; any
+    other non-empty out is refused before the command reads data. On any
+    exception the sibling is removed and out is left as it was."""
+    path = os.path.realpath(out)
+    if os.path.lexists(path) and not (os.path.isdir(path) and (
+        not os.listdir(path)
+        or os.path.isfile(os.path.join(path, "effective_config.txt"))
+    )):
+        raise ValidationError(f"--out {out} is neither empty nor an icborrow output")
+    partial, old = f"{path}.partial-{os.getpid()}", f"{path}.old-{os.getpid()}"
+    os.makedirs(partial)  # follows the umask; tempfile.mkdtemp would give 0700
+    try:
+        yield partial
+        with open(os.path.join(partial, "effective_config.txt"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(config_snapshot(config))
+        names = os.listdir(partial)
+        lines = ["# Output files", ""] + [
+            f"- `{key}`: {doc}" for key, doc in _OUTPUT_DOCS.items()
+            if fnmatch.filter(names, key.replace("<METHOD>", "*"))
+        ]
+        with open(os.path.join(partial, "README.md"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines + [""]))
+        if os.path.lexists(path):
+            os.replace(path, old)
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.lexists(old) and not os.path.lexists(path):
+            os.replace(old, path)
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    if os.path.lexists(old):
+        shutil.rmtree(old)
+
+
+def _writes_output(body):
+    """Build the config, then run body(args, config, outdir) in an _output_dir."""
+
+    def command(args: argparse.Namespace) -> int:
+        config = _build_config(args)
+        with _output_dir(args.out, config) as outdir:
+            body(args, config, outdir)
+        return 0
+
+    return command
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -206,36 +246,28 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    ctx = _make_context(args, config)
-    run = run_quarters(ctx)
-    os.makedirs(args.out, exist_ok=True)
+@_writes_output
+def _cmd_run(args: argparse.Namespace, config: RunConfig, outdir: str) -> None:
+    run = _screen(args, config)
     for method in config.methods:
         name = f"results_{method}.csv"
-        write_results_csv(run.results, method, os.path.join(args.out, name))
-    _write_snapshot(args.out, config)
-    _write_outputs_readme(args.out, ["results_<METHOD>.csv", "effective_config.txt"])
+        write_results_csv(run.results, method, os.path.join(outdir, name))
     log.info("wrote %d result rows to %s", len(run.results), args.out)
-    return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+@_writes_output
+def _cmd_evaluate(args: argparse.Namespace, config: RunConfig, outdir: str) -> None:
     if args.bootstrap and args.bootstrap < MIN_BOOTSTRAP_ITER:
         raise ValidationError(
             f"--bootstrap must be 0 or >= {MIN_BOOTSTRAP_ITER}, got {args.bootstrap}"
         )
-    config = _build_config(args)
     entries = load_reference(args.reference)
-    ctx = _make_context(args, config)
-    run = run_quarters(ctx)
+    run = _screen(args, config)
     curves = {
         method: quarterly_curves(run.first_alerts[method], entries, run.quarters)
         for method in config.methods
     }
-    os.makedirs(args.out, exist_ok=True)
-    write_metrics_csv(curves, os.path.join(args.out, "metrics.csv"))
-    files = ["metrics.csv"]
+    write_metrics_csv(curves, os.path.join(outdir, "metrics.csv"))
     if args.bootstrap:
         result = bootstrap(
             {m: run.first_alerts[m] for m in config.methods},
@@ -244,10 +276,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             seed=config.seed,
             strict_before=not args.non_strict,
         )
-        write_bootstrap_json(result, os.path.join(args.out, "bootstrap.json"))
-        files.append("bootstrap.json")
-    _write_snapshot(args.out, config)
-    _write_outputs_readme(args.out, files + ["effective_config.txt"])
+        write_bootstrap_json(result, os.path.join(outdir, "bootstrap.json"))
     for method in config.methods:
         report = score(run.first_alerts[method], entries,
                        strict_before=not args.non_strict)
@@ -255,16 +284,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "%s: tp=%d fp=%d tn=%d fn=%d", method, report.tp, report.fp,
             report.tn, report.fn,
         )
-    return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+@_writes_output
+def _cmd_compare(args: argparse.Namespace, config: RunConfig, outdir: str) -> None:
     if len(config.methods) != 2:
         raise ValidationError("compare needs exactly two methods")
     entries = load_reference(args.reference)
-    ctx = _make_context(args, config)
-    run = run_quarters(ctx)
+    run = _screen(args, config)
     method_a, method_b = config.methods
     comparison = compare_methods(
         run.first_alerts[method_a],
@@ -274,17 +301,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         method_b=method_b,
         strict_before=not args.non_strict,
     )
-    os.makedirs(args.out, exist_ok=True)
     write_compare_csv(
         comparison,
-        os.path.join(args.out, "compare.csv"),
-        os.path.join(args.out, "compare_deltas.csv"),
+        os.path.join(outdir, "compare.csv"),
+        os.path.join(outdir, "compare_deltas.csv"),
     )
-    _write_snapshot(args.out, config)
-    _write_outputs_readme(
-        args.out, ["compare.csv", "compare_deltas.csv", "effective_config.txt"]
-    )
-    return 0
 
 
 def _parse_grid(items: list[str]) -> dict[str, list]:
@@ -298,8 +319,8 @@ def _parse_grid(items: list[str]) -> dict[str, list]:
     return grid
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+@_writes_output
+def _cmd_sweep(args: argparse.Namespace, config: RunConfig, outdir: str) -> None:
     grid = _parse_grid(args.grid)
     sweep_points(config, grid)  # a bad grid fails before any data is read
     entries = load_reference(args.reference)
@@ -313,11 +334,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ontology=ontology,
         strict_before=not args.non_strict,
     )
-    os.makedirs(args.out, exist_ok=True)
-    write_sweep_csv(rows, os.path.join(args.out, "sweep.csv"))
-    _write_snapshot(args.out, config)
-    _write_outputs_readme(args.out, ["sweep.csv", "effective_config.txt"])
-    return 0
+    write_sweep_csv(rows, os.path.join(outdir, "sweep.csv"))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -385,48 +402,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="progress logging on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check input files and summarize them")
-    p.add_argument("--reports", required=True)
-    p.add_argument("--ontology")
-    p.add_argument("--reference")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("run", help="screen all active pairs quarter by quarter")
-    p.add_argument("--reports", required=True)
-    p.add_argument("--ontology")
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("evaluate", help="score a run against a reference set")
-    p.add_argument("--reports", required=True)
-    p.add_argument("--ontology")
-    p.add_argument("--reference", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--bootstrap", type=int, default=0,
-                   help=f"bootstrap iterations, 0 (disabled) or at least "
-                   f"{MIN_BOOTSTRAP_ITER}")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("compare", help="head-to-head overlap of two methods")
-    p.add_argument("--reports", required=True)
-    p.add_argument("--ontology")
-    p.add_argument("--reference", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("sweep", help="one-at-a-time parameter sweep")
-    p.add_argument("--reports", required=True)
-    p.add_argument("--ontology")
-    p.add_argument("--reference", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--grid", action="append", default=[],
-                   help="axis as key=v1,v2,... (repeatable); keys: min_ssm, "
-                   "w, vague_sd, threshold")
-    _add_config_flags(p)
-    p.set_defaults(func=_cmd_sweep)
+    for name, func, text in [
+        ("validate", _cmd_validate, "check input files and summarize them"),
+        ("run", _cmd_run, "screen all active pairs quarter by quarter"),
+        ("evaluate", _cmd_evaluate, "score a run against a reference set"),
+        ("compare", _cmd_compare, "head-to-head overlap of two methods"),
+        ("sweep", _cmd_sweep, "one-at-a-time parameter sweep"),
+    ]:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--reports", required=True)
+        p.add_argument("--ontology")
+        if name != "run":
+            p.add_argument("--reference", required=name != "validate")
+        if name != "validate":
+            p.add_argument("--out", required=True)
+            _add_config_flags(p)
+        p.set_defaults(func=func)
+    sub.choices["evaluate"].add_argument(
+        "--bootstrap", type=int, default=0,
+        help=f"bootstrap iterations, 0 (disabled) or at least {MIN_BOOTSTRAP_ITER}",
+    )
+    sub.choices["sweep"].add_argument(
+        "--grid", action="append", default=[],
+        help="axis as key=v1,v2,... (repeatable); keys: min_ssm, w, vague_sd, "
+        "threshold",
+    )
 
     p = sub.add_parser("generate", help="emit a synthetic data set")
     p.add_argument("--preset", choices=sorted(_PRESETS), default="basic")

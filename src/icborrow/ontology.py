@@ -148,15 +148,18 @@ class Ontology:
     def hlgt_neighbors(self, pt: str) -> list[str]:
         """Sorted PTs sharing at least one HLGT with pt, excluding pt itself.
 
-        A PT with no HLGT ancestor yields an empty list and a logged warning.
-        A code outside the ontology (load_reports keeps such event codes and
-        warns about them) yields an empty list.
+        A code with no HLGT ancestor yields an empty list and a logged warning
+        naming its level. An event coded at HLGT or SOC level has no HLGT
+        ancestor, so it borrows from nobody under IC_HLGT. A code outside the
+        ontology (load_reports keeps such event codes and warns about them)
+        yields an empty list.
         """
         if pt not in self.concepts:
             return []
         own = self.meddra_groups(pt, "HLGT")
         if not own:
-            log.warning("PT %s has no HLGT ancestor; no group neighbors", pt)
+            log.warning("%s %s has no HLGT ancestor; no group neighbors",
+                        self.concepts[pt].level, pt)
             return []
         out: set[str] = set()
         for g in own:

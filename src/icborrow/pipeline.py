@@ -32,6 +32,10 @@ METHODS = (METHOD_IC, METHOD_SSM, METHOD_HLGT)
 
 RNG_ALGORITHM = "philox"
 
+# Upper bound on RunConfig.threads: each worker is an OS thread, and a fixed
+# bound lets a replayed effective_config.txt behave the same on every machine.
+MAX_THREADS = 64
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -68,8 +72,10 @@ class RunConfig:
             raise ValidationError(f"duplicate method in {','.join(self.methods)}")
         if self.effects not in (RANDOM_EFFECTS, FIXED_EFFECTS):
             raise ValidationError(f"unknown effects model {self.effects!r}")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ValidationError(
+                f"threads must be in [1, {MAX_THREADS}], got {self.threads}"
+            )
         if self.n_samples < 1000:
             raise ValidationError(f"n_samples must be >= 1000, got {self.n_samples}")
         if not 0.0 <= self.min_ssm <= 1.0:

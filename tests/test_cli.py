@@ -1,11 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import icborrow.pipeline
 from icborrow.cli import main
+from icborrow.errors import NumericalError
 
 from conftest import MALFORMED_ECHOES, break_scenario_echo
 
@@ -175,6 +178,9 @@ def test_run_writes_results_and_snapshot(dataset, tmp_path, capsys):
     assert "rng = philox\n" in snapshot
     header = (out / "results_IC.csv").read_text().splitlines()[0]
     assert header == "drug,event,cutoff,a,b,c,d,oe,pme,var,ci_low,ci_high,signal"
+    plain = tmp_path / "plain"
+    os.mkdir(plain)  # the output directory gets the umask's mode, as this one
+    assert out.stat().st_mode == plain.stat().st_mode
 
 
 def test_run_single_method_writes_one_csv(dataset, tmp_path):
@@ -273,7 +279,8 @@ def test_bad_config_value_names_key(dataset, tmp_path, capsys, bad):
     "flag, value, key",
     [("--n-samples", "999", "n_samples"), ("--min-ssm", "7", "min_ssm"),
      ("--vague-sd", "-1", "vague_sd"), ("--min-a", "-3", "min_a"),
-     ("--threshold", "nan", "threshold")],
+     ("--threshold", "nan", "threshold"), ("--threads", "0", "threads"),
+     ("--threads", "65", "threads")],
 )
 def test_out_of_range_config_fails_before_loading(
     tmp_path, capsys, flag, value, key
@@ -362,6 +369,107 @@ def test_replay_from_effective_config(dataset, tmp_path, command, config_flags, 
     assert "effective_config.txt" in names
     for name in names:
         assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "command, first, second, left",
+    [
+        ("run", ["--methods", "IC,IC_SSM"], ["--methods", "IC"], ["results_IC.csv"]),
+        ("evaluate", ["--bootstrap", "120"], [], ["metrics.csv"]),
+    ],
+)
+def test_rerun_leaves_no_stale_files(dataset, tmp_path, command, first, second, left):
+    out = tmp_path / "out"
+    out.mkdir()  # an empty directory is a valid --out too
+    io = io_args(dataset, with_reference=command != "run")
+    for flags in (first, second):  # a trailing separator names the same --out
+        assert main([command] + io + ["--out", f"{out}{os.sep}", "--methods", "IC"]
+                    + flags + BASE) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(left + ["README.md", "effective_config.txt"])
+    readme = (out / "README.md").read_text()
+    assert "IC_SSM" not in readme and "bootstrap" not in readme
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def _tree(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("exc", [NumericalError, KeyboardInterrupt])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_run_leaves_out_as_it_was(dataset, tmp_path, monkeypatch, exc, existing):
+    out = tmp_path / "out"
+    args = (["run"] + io_args(dataset, with_reference=False)
+            + ["--out", str(out), "--methods", "IC,IC_SSM"] + BASE)
+    if existing:
+        assert main(args) == 0
+        before = _tree(out)
+    calls = []
+    real = icborrow.pipeline.analyze_pair
+
+    def failing(*a, **kw):
+        calls.append(1)
+        if len(calls) > 3:
+            raise exc("injected")
+        return real(*a, **kw)
+
+    monkeypatch.setattr(icborrow.pipeline, "analyze_pair", failing)
+    if exc is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+    else:
+        assert main(args) == 3
+    assert len(calls) == 4
+    if existing:
+        assert _tree(out) == before
+    # no new directory and no partial sibling is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out"] if existing else [])
+
+
+def test_failed_placement_puts_old_out_back(dataset, tmp_path, monkeypatch):
+    # The old --out is moved aside before the new one is renamed into place;
+    # if that rename fails, the old one must come back unchanged.
+    out = tmp_path / "out"
+    args = ["run", "--reports", str(dataset / "reports.tsv"), "--out", str(out),
+            "--methods", "IC"] + BASE
+    assert main(args) == 0
+    before = _tree(out)
+    real = os.replace
+
+    def replace(src, dst):
+        if ".partial-" in str(src):
+            raise PermissionError("injected")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(args) == 1
+    assert _tree(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+@pytest.mark.parametrize("kind", ["file", "foreign-dir"])
+def test_out_must_be_empty_or_an_output_dir(tmp_path, capsys, kind):
+    # The reports file does not exist: the --out check must come first, as a
+    # validation error, not as the I/O error's exit 1.
+    out = tmp_path / "out"
+    if kind == "file":
+        out.write_text("keep me\n")
+    else:
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n")
+    before = out.read_bytes() if kind == "file" else _tree(out)
+    code = main(
+        ["run", "--reports", str(tmp_path / "missing.tsv"), "--out", str(out),
+         "--methods", "IC"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError" and "--out" in payload["message"]
+    assert (out.read_bytes() if kind == "file" else _tree(out)) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 def test_too_few_samples_is_rejected(dataset, tmp_path, capsys):

@@ -114,6 +114,23 @@ def test_hlgt_neighbors_union_across_groups(tmp_path):
     assert ont.hlgt_neighbors("W") == []
 
 
+def test_hlgt_neighbors_warning_names_the_level(caplog):
+    # Codes above HLT level have no HLGT ancestor either: an event coded at
+    # HLGT or SOC level borrows from nobody, and the log says which level.
+    ont = make_ontology(
+        {},
+        ["S", "G", "H", "P", "W"],
+        levels={"S": "SOC", "G": "HLGT", "H": "HLT", "P": "PT", "W": "PT"},
+        meddra_parents={"G": ["S"], "H": ["G"], "P": ["H"]},
+    )
+    caplog.set_level("WARNING", logger="icborrow.ontology")
+    assert [ont.hlgt_neighbors(c) for c in ("P", "G", "S", "W")] == [[]] * 4
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{level} {code} has no HLGT ancestor; no group neighbors"
+        for level, code in [("HLGT", "G"), ("SOC", "S"), ("PT", "W")]
+    ]
+
+
 def test_loader_rejects_cycle(tmp_path):
     text = (
         "N\tA\tPT\ta\nN\tB\tOTHER\tb\n"

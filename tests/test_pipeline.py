@@ -17,6 +17,7 @@ from icborrow import (
     run_quarters,
 )
 from icborrow.pipeline import (
+    MAX_THREADS,
     METHODS,
     IcCache,
     config_snapshot,
@@ -126,6 +127,13 @@ def test_ic_cache_memoizes(six_report_store):
 def test_config_validation(overrides):
     with pytest.raises(ValidationError):
         RunConfig(**overrides)
+
+
+def test_threads_are_bounded():
+    # Only configs are built here: no pool is started with a large count.
+    assert parse_config({"threads": str(MAX_THREADS)}).threads == MAX_THREADS
+    with pytest.raises(ValidationError, match=r"threads must be in \[1, 64\]"):
+        parse_config({"threads": str(MAX_THREADS + 1)})
 
 
 def test_context_requires_method_inputs(six_report_store):
