@@ -20,10 +20,8 @@ from .borrow import (
     MixturePosterior,
     RobustPrior,
     borrow,
-    fixed_effect_map,
     mixture_posterior,
     random_effects_map,
-    reml_tau2,
 )
 from .errors import CycleError, NumericalError, ValidationError
 from .evaluate import (
@@ -38,7 +36,7 @@ from .evaluate import (
     quarterly_curves,
     score,
 )
-from .ic import DirichletPrior, IcPosterior, default_prior, posterior_ic, signal_flag
+from .ic import IcPosterior, posterior_ic, signal_flag
 from .ontology import Ontology, SimilarityMatrix, build_similarity, load_ontology
 from .pipeline import (
     METHOD_HLGT,
@@ -70,7 +68,6 @@ __all__ = [
     "Comparison",
     "ContingencyTable",
     "CycleError",
-    "DirichletPrior",
     "IcPosterior",
     "MapPrior",
     "MetricsReport",
@@ -98,9 +95,7 @@ __all__ = [
     "concordant_scenario",
     "check_negative_controls",
     "compare_methods",
-    "default_prior",
     "discordant_scenario",
-    "fixed_effect_map",
     "generate",
     "null_scenario",
     "load_ontology",
@@ -111,7 +106,6 @@ __all__ = [
     "posterior_ic",
     "quarterly_curves",
     "random_effects_map",
-    "reml_tau2",
     "run_quarters",
     "score",
     "signal_flag",

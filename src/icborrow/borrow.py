@@ -252,10 +252,6 @@ class MixturePosterior:
     ci_low: float
     ci_high: float
     w_tilde: float
-    mean_informative: float
-    var_informative: float
-    mean_vague: float
-    var_vague: float
 
 
 def _log_norm_pdf(x: float, mean: float, var: float) -> float:
@@ -302,10 +298,6 @@ def mixture_posterior(
         ci_low=ci_low,
         ci_high=ci_high,
         w_tilde=w_tilde,
-        mean_informative=mean_1,
-        var_informative=var_1,
-        mean_vague=mean_2,
-        var_vague=var_2,
     )
 
 
@@ -336,7 +328,7 @@ FIXED_EFFECTS = "fixed"
 
 @dataclass(frozen=True)
 class BorrowResult:
-    posterior: MixturePosterior
+    posterior: MixturePosterior | IcPosterior
     map_prior: MapPrior | None
     w: float | None
 
@@ -353,22 +345,11 @@ def borrow(
 
     The pooled prior gets informative weight ``w``: "max_ssm" for the
     largest source similarity, or a number in [0, 1] used as given. With
-    no sources the target's Monte Carlo posterior is passed through
-    unchanged as a single-component result: no vague-prior update happens.
+    no sources the target's Monte Carlo posterior is itself the result's
+    posterior: no vague-prior update happens.
     """
     if not sources:
-        passthrough = MixturePosterior(
-            pme=target.pme,
-            variance=target.variance,
-            ci_low=target.ci_low,
-            ci_high=target.ci_high,
-            w_tilde=0.0,
-            mean_informative=target.pme,
-            var_informative=target.variance,
-            mean_vague=target.pme,
-            var_vague=target.variance,
-        )
-        return BorrowResult(posterior=passthrough, map_prior=None, w=None)
+        return BorrowResult(posterior=target, map_prior=None, w=None)
     if effects == RANDOM_EFFECTS:
         pooled = random_effects_map(
             sources,

@@ -171,17 +171,20 @@ _OUTPUT_DOCS = {
 def _output_dir(out: str, config: RunConfig):
     """Yield a new sibling directory of out. On success add effective_config.txt
     and a README.md of the files present, then rename it to out, replacing an
-    earlier output directory (one holding effective_config.txt) whole; any
-    other non-empty out is refused before the command reads data. On any
-    exception the sibling is removed and out is left as it was."""
+    earlier output directory (one holding effective_config.txt) whole; a
+    missing parent directory or any other non-empty out is refused before the
+    command reads data. On any exception the sibling is removed and out is
+    left as it was."""
     path = os.path.realpath(out)
+    if not os.path.isdir(os.path.dirname(path)):
+        raise ValidationError(f"--out {out}: parent directory does not exist")
     if os.path.lexists(path) and not (os.path.isdir(path) and (
         not os.listdir(path)
         or os.path.isfile(os.path.join(path, "effective_config.txt"))
     )):
         raise ValidationError(f"--out {out} is neither empty nor an icborrow output")
     partial, old = f"{path}.partial-{os.getpid()}", f"{path}.old-{os.getpid()}"
-    os.makedirs(partial)  # follows the umask; tempfile.mkdtemp would give 0700
+    os.mkdir(partial)  # follows the umask; tempfile.mkdtemp would give 0700
     try:
         yield partial
         with open(os.path.join(partial, "effective_config.txt"), "w",

@@ -181,27 +181,13 @@ def quarterly_curves(
     At cutoff q the positive pool keeps only entries whose label quarter is
     still in the future; an alert counts when it happened at or before q.
     """
-    out: dict[Quarter, MetricsReport] = {}
-    for q in sorted(quarters):
-        tp = fp = tn = fn = 0
-        for e in entries:
-            alert = alerts.get((e.drug, e.pt))
-            alerted = alert is not None and alert <= q
-            if e.kind == POSITIVE:
-                assert e.label_quarter is not None
-                if e.label_quarter <= q:
-                    continue
-                if alerted:
-                    tp += 1
-                else:
-                    fn += 1
-            else:
-                if alerted:
-                    fp += 1
-                else:
-                    tn += 1
-        out[q] = MetricsReport.from_counts(tp, fp, tn, fn)
-    return out
+    return {
+        q: score(
+            {pair: a for pair, a in alerts.items() if a <= q},
+            [e for e in entries if e.kind == NEGATIVE or e.label_quarter > q],
+        )
+        for q in sorted(quarters)
+    }
 
 
 # -- head-to-head comparison ---------------------------------------------------
@@ -233,22 +219,20 @@ def compare_methods(
     entries: list[ReferenceEntry],
     method_a: str = "A",
     method_b: str = "B",
-    imputed_quarter: Quarter | None = None,
     strict_before: bool = True,
 ) -> Comparison:
     """Detection overlap and timing deltas on the shared positive universe.
 
     Positives ignored by either method (alerted at or after their label) drop
     out. Delta is first_alert_b - first_alert_a in quarters; one-sided
-    detections impute imputed_quarter (default: one quarter past the latest
-    label quarter) for the missing side and are tallied separately.
+    detections impute one quarter past the latest label quarter for the
+    missing side and are tallied separately.
     """
     positives = [e for e in entries if e.kind == POSITIVE]
-    if imputed_quarter is None:
-        latest = max((e.label_quarter for e in positives), default=None)
-        if latest is None:
-            raise ValidationError("comparison needs at least one positive control")
-        imputed_quarter = latest + 1
+    latest = max((e.label_quarter for e in positives), default=None)
+    if latest is None:
+        raise ValidationError("comparison needs at least one positive control")
+    imputed_quarter = latest + 1
     both = only_a = only_b = neither = 0
     observed: Counter = Counter()
     imputed: Counter = Counter()

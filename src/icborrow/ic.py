@@ -23,23 +23,13 @@ if TYPE_CHECKING:
 PROB_FLOOR = float(np.finfo(np.float64).tiny)
 
 
-@dataclass(frozen=True)
-class DirichletPrior:
-    """Prior pseudo-counts for the cells (a, b, c, d)."""
-
-    alpha: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        if min(self.alpha) <= 0.0:
-            raise ValueError(f"prior pseudo-counts must be positive, got {self.alpha}")
-
-
 # Total pseudo-count strength of the default prior.
 PRIOR_NU = 2.0
 
 
-def default_prior(table: ContingencyTable) -> DirichletPrior:
-    """Marginal-product prior with total strength PRIOR_NU.
+def default_prior(table: ContingencyTable) -> tuple[float, float, float, float]:
+    """Marginal-product prior pseudo-counts for the cells (a, b, c, d), with
+    total strength PRIOR_NU.
 
     Cell shapes are PRIOR_NU * q_x * q_y etc. with q_x, q_y the observed
     drug and event margins, clipped to [1/(N+2), 1 - 1/(N+2)] so every
@@ -51,13 +41,11 @@ def default_prior(table: ContingencyTable) -> DirichletPrior:
     lo = 1.0 / (n + 2)
     q_x = min(max(table.drug_margin / n, lo), 1.0 - lo)
     q_y = min(max(table.event_margin / n, lo), 1.0 - lo)
-    return DirichletPrior(
-        (
-            PRIOR_NU * q_x * q_y,
-            PRIOR_NU * q_x * (1.0 - q_y),
-            PRIOR_NU * (1.0 - q_x) * q_y,
-            PRIOR_NU * (1.0 - q_x) * (1.0 - q_y),
-        )
+    return (
+        PRIOR_NU * q_x * q_y,
+        PRIOR_NU * q_x * (1.0 - q_y),
+        PRIOR_NU * (1.0 - q_x) * q_y,
+        PRIOR_NU * (1.0 - q_x) * (1.0 - q_y),
     )
 
 
@@ -70,24 +58,18 @@ class IcPosterior:
     ci_low: float
     ci_high: float
     n_samples: int
-    seed: int
     n_floored: int = 0
 
 
 def posterior_ic(
-    table: ContingencyTable,
-    prior: DirichletPrior | None = None,
-    n_samples: int = 100_000,
-    seed: int = 0,
+    table: ContingencyTable, n_samples: int = 100_000, seed: int = 0
 ) -> IcPosterior:
     """Sample the Dirichlet posterior and summarize the information component.
 
     Parameters
     ----------
     table : ContingencyTable
-        Observed counts; posterior shape is prior + counts.
-    prior : DirichletPrior, optional
-        Defaults to the marginal-product prior of strength PRIOR_NU.
+        Observed counts; posterior shape is ``default_prior(table)`` + counts.
     n_samples : int
         Monte Carlo draws, at least 1000.
     seed : int
@@ -115,9 +97,7 @@ def posterior_ic(
     """
     if n_samples < 1000:
         raise ValueError(f"n_samples must be >= 1000, got {n_samples}")
-    if prior is None:
-        prior = default_prior(table)
-    gamma = np.asarray(prior.alpha, dtype=np.float64) + np.array(
+    gamma = np.asarray(default_prior(table), dtype=np.float64) + np.array(
         [table.a, table.b, table.c, table.d], dtype=np.float64
     )
     rng = np.random.Generator(np.random.Philox(seed))
@@ -147,7 +127,6 @@ def posterior_ic(
         ci_low=_lerp(ic.item(i_low), ic.item(i_low + 1), v_low - i_low),
         ci_high=_lerp(ic.item(i_high), ic.item(i_high + 1), v_high - i_high),
         n_samples=n_samples,
-        seed=seed,
         n_floored=n_floored,
     )
 

@@ -28,10 +28,10 @@ from icborrow import (
     load_reports,
     mixture_posterior,
     posterior_ic,
-    reml_tau2,
     run_quarters,
     score,
 )
+from icborrow.borrow import reml_tau2
 from icborrow.cli import main as cli_main
 from icborrow.pipeline import METHOD_HLGT, METHOD_IC, METHOD_SSM
 from icborrow.synth import basic_scenario, concordant_scenario, null_scenario

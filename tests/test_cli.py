@@ -472,6 +472,23 @@ def test_out_must_be_empty_or_an_output_dir(tmp_path, capsys, kind):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
+def test_out_under_missing_parent_is_refused(tmp_path, capsys):
+    # No parent of --out is created: the run exits 2 before the (missing)
+    # reports file is read and leaves the tree as it was.
+    nest = tmp_path / "nest"
+    nest.mkdir()
+    code = main(
+        ["run", "--reports", str(nest / "missing.tsv"),
+         "--out", str(nest / "a" / "b" / "c"), "--methods", "IC"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError" and "--out" in payload["message"]
+    assert list(nest.iterdir()) == []
+
+
 def test_too_few_samples_is_rejected(dataset, tmp_path, capsys):
     code = main(
         ["run", "--reports", str(dataset / "reports.tsv"),

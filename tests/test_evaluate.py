@@ -196,8 +196,11 @@ def test_compare_imputes_one_sided_detections():
         Q("2015Q2") - Q("2016Q2"): 1,
     }
     assert comp.n_imputed == 2
-    explicit = compare_methods(a, b, entries, imputed_quarter=Q("2017Q1"))
-    assert explicit.deltas_imputed == {
+    # a later label, on a positive neither method detects, moves the
+    # imputed quarter with it (2016Q4 -> 2017Q1)
+    later = compare_methods(a, b, entries + [ref("D", "P9", "POSITIVE", "2016Q4")])
+    assert later.neither == comp.neither + 1
+    assert later.deltas_imputed == {
         Q("2017Q1") - Q("2015Q1"): 1,
         Q("2015Q2") - Q("2017Q1"): 1,
     }

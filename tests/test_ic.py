@@ -6,39 +6,36 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icborrow import ContingencyTable, DirichletPrior, posterior_ic, signal_flag
+from icborrow import ContingencyTable, posterior_ic, signal_flag
 from icborrow.errors import NumericalError
 from icborrow.ic import PROB_FLOOR, default_prior
 
-from oracles import exact_ic_mean, ic_cdf, numpy_ic_summaries
+from oracles import exact_ic_mean, ic_cdf, ic_moments, numpy_ic_summaries
 
 
-def posterior_gamma(table, prior=None):
-    prior = prior or default_prior(table)
-    return [
-        alpha + count
-        for alpha, count in zip(prior.alpha, (table.a, table.b, table.c, table.d))
-    ]
+def posterior_gamma(table):
+    counts = (table.a, table.b, table.c, table.d)
+    return [alpha + count for alpha, count in zip(default_prior(table), counts)]
 
 
 def test_default_prior_symmetric_table():
     prior = default_prior(ContingencyTable(25, 25, 25, 25))
-    assert prior.alpha == pytest.approx((0.5, 0.5, 0.5, 0.5), abs=1e-15)
+    assert prior == pytest.approx((0.5, 0.5, 0.5, 0.5), abs=1e-15)
 
 
 def test_default_prior_margins():
     prior = default_prior(ContingencyTable(10, 90, 90, 810))
-    assert prior.alpha[0] == pytest.approx(0.02, abs=1e-15)
-    assert sum(prior.alpha) == pytest.approx(2.0, abs=1e-12)
+    assert prior[0] == pytest.approx(0.02, abs=1e-15)
+    assert sum(prior) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_default_prior_zero_margin_floor():
-    prior = default_prior(ContingencyTable(0, 0, 5, 95))
-    assert min(prior.alpha) > 0.0
+    # Empty and full margins alike are clipped, so every pseudo-count of
+    # every non-empty table is positive.
+    for cells in [(0, 0, 5, 95), (5, 0, 0, 0), (0, 5, 0, 0), (0, 0, 0, 5)]:
+        assert min(default_prior(ContingencyTable(*cells))) > 0.0
     with pytest.raises(NumericalError):
         default_prior(ContingencyTable(0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        DirichletPrior((0.0, 1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -132,29 +129,40 @@ def test_summaries_equal_numpy_on_the_same_draws(cells, n_samples, seed):
 
 
 @pytest.mark.parametrize(
-    "cells, alpha",
-    [
-        ((3, 20, 50, 5000), (0.4, 0.1, 0.3, 0.2)),  # gamma (3.4, 20.1, 50.3, 5000.2)
-        ((50, 0, 0, 0), None),
-        ((100, 300, 150, 9450), None),
-        ((2, 8, 8, 82), None),
-    ],
+    "cells", [(3, 20, 50, 5000), (50, 0, 0, 0), (100, 300, 150, 9450), (2, 8, 8, 82)]
 )
-def test_interval_ends_sit_at_their_quadrature_cdf(cells, alpha):
+def test_interval_ends_sit_at_their_quadrature_cdf(cells):
     # The k-th order statistic of n draws has F(X_(k)) ~ Beta(k, n + 1 - k)
     # for any continuous F, with sd close to sqrt(q(1 - q)/n). Draws carry
     # rounding error of a few ulps, so F is read at x -/+ delta: at
     # a = n most draws lie within ulps of 0 (four in ten are exactly 0).
     table = ContingencyTable(*cells)
-    prior = DirichletPrior(alpha) if alpha else default_prior(table)
-    gamma = posterior_gamma(table, prior)
+    gamma = posterior_gamma(table)
     n = 100_000
-    post = posterior_ic(table, prior, n_samples=n, seed=11)
+    post = posterior_ic(table, n_samples=n, seed=11)
     assert post.n_floored == 0
     for q, x in ((0.025, post.ci_low), (0.975, post.ci_high)):
         tol = 4.0 * math.sqrt(q * (1.0 - q) / n)
         delta = 1e-14 * (1.0 + abs(x))
         assert ic_cdf(gamma, x - delta) - tol <= q <= ic_cdf(gamma, x + delta) + tol
+
+
+@pytest.mark.parametrize(
+    "cells", [(3, 20, 50, 5000), (100, 300, 150, 9450), (2, 8, 8, 82)]
+)
+def test_mean_and_variance_match_quadrature_moments(cells):
+    # The sample mean has sd sqrt(var/n), and the sample variance has sd
+    # close to sqrt((mu4 - var^2)/n); the quadrature mean must first agree
+    # with the closed-form digamma mean.
+    table = ContingencyTable(*cells)
+    gamma = posterior_gamma(table)
+    mean, var, mu4 = ic_moments(gamma)
+    assert abs(mean - exact_ic_mean(gamma)) < 1e-8
+    n = 100_000
+    post = posterior_ic(table, n_samples=n, seed=23)
+    assert post.n_floored == 0
+    assert abs(post.pme - mean) < 4.0 * math.sqrt(var / n)
+    assert abs(post.variance - var) < 4.0 * math.sqrt((mu4 - var * var) / n)
 
 
 def test_balanced_independence_is_near_zero():
