@@ -94,15 +94,52 @@ def _cumulative(
     return np.cumsum(counts, axis=1, out=counts)
 
 
+def _alive_codes(
+    codes: np.ndarray, per_record: np.ndarray, rank: np.ndarray, alive: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Record and sorted rank of each code of the alive records, in record order."""
+    rec = np.repeat(np.arange(len(per_record)), per_record)
+    keep = alive[rec]
+    return rec[keep], rank[codes[keep]]
+
+
+def _pair_quarter_keys(
+    d_rec: np.ndarray,
+    d_code: np.ndarray,
+    e_rec: np.ndarray,
+    e_code: np.ndarray,
+    n_events: np.ndarray,
+    rec_qi: np.ndarray,
+    n_e: int,
+    n_q: int,
+) -> np.ndarray:
+    """``(drug * n_e + event) * n_q + quarter index`` of every (record, drug,
+    event) of the records in ``d_rec`` and ``e_rec``.
+
+    Each drug incidence repeats once per event of its record: the record's
+    events start at ``e_rec.searchsorted(record)`` and ``within`` runs
+    0..k-1 over its k events.
+    """
+    reps = n_events[d_rec]
+    within = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+    key = np.repeat(d_code, reps) * n_e
+    key += e_code[np.repeat(e_rec.searchsorted(d_rec), reps) + within]
+    key *= n_q
+    key += rec_qi[np.repeat(d_rec, reps)]
+    return key
+
+
 class ReportStore:
     """Cumulative report counts per quarter, held as integer arrays.
 
     Drugs and events are numbered in sorted order. For every stored quarter
-    the store keeps the number of reports, of reports naming each drug, each
-    event and each co-reported (drug, event) pair, all cumulative over
-    quarters, so a contingency table at any cutoff is a few lookups.
-    Built by ``load_reports``, which counts the records whose alive flag
-    is set.
+    the store keeps the number of reports and of reports naming each drug
+    and each event, cumulative over quarters. Co-reported (drug, event)
+    pairs are kept only at the quarters they were reported in: one sorted
+    key per (pair, quarter) incidence with the pair's cumulative count, so
+    their memory grows with what was reported, not with pairs × quarters.
+    A contingency table at any cutoff is a few lookups. Built by
+    ``load_reports``, which counts the records whose alive flag is set.
     """
 
     def __init__(self, cols: _Columns, alive: np.ndarray, warnings: list[str]):
@@ -122,28 +159,27 @@ class ReportStore:
         self._n = np.bincount(rec_qi[alive], minlength=n_q).cumsum()
         self._n_reports = int(alive.sum())
 
-        # One row per (record, drug) incidence; keep the alive records.
-        d_rec = np.repeat(np.arange(len(rec_q)), n_drugs)
-        d_keep = alive[d_rec]
-        d_rec, d_code = d_rec[d_keep], drug_rank[cols.drugs][d_keep]
-        e_rec = np.repeat(np.arange(len(rec_q)), n_events)
-        e_code_all = event_rank[cols.events]
-        e_keep = alive[e_rec]
+        # One row per (record, code) incidence of the alive records.
+        d_rec, d_code = _alive_codes(cols.drugs, n_drugs, drug_rank, alive)
+        e_rec, e_code = _alive_codes(cols.events, n_events, event_rank, alive)
         self._drug = _cumulative(d_code, rec_qi[d_rec], n_d, n_q)
-        self._event = _cumulative(
-            e_code_all[e_keep], rec_qi[e_rec[e_keep]], n_e, n_q
+        self._event = _cumulative(e_code, rec_qi[e_rec], n_e, n_q)
+        keys = _pair_quarter_keys(
+            d_rec, d_code, e_rec, e_code, n_events, rec_qi, n_e, n_q
         )
+        del d_rec, d_code, e_rec, e_code  # free them before the sort, the load's peak
 
-        # (record, drug, event): each alive drug incidence once per event of
-        # its record; `within` runs 0..k-1 over the record's k events.
-        reps = n_events[d_rec]
-        within = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
-        e_start = np.cumsum(n_events) - n_events
-        p_event = e_code_all[np.repeat(e_start[d_rec], reps) + within]
-        p_key = np.repeat(d_code, reps) * n_e + p_event
-        self._pair_keys, pair_idx = np.unique(p_key, return_inverse=True)
-        self._pair = _cumulative(
-            pair_idx.ravel(), rec_qi[np.repeat(d_rec, reps)], len(self._pair_keys), n_q
+        # One sorted key per (pair, quarter) incidence; a pair's keys form one
+        # run, and each key carries the pair's count up to its quarter.
+        self._inc, counts = np.unique(keys, return_counts=True)
+        del keys  # kept alive, it put the large-history run's peak 2.6 MB higher
+        pair = self._inc // n_q
+        self._pair_start = np.flatnonzero(np.diff(pair, prepend=-1))
+        self._pair_keys = pair[self._pair_start]
+        run_total = np.cumsum(counts)
+        before = run_total[self._pair_start] - counts[self._pair_start]
+        self._inc_count = run_total - np.repeat(
+            before, np.diff(self._pair_start, append=len(pair))
         )
 
     def __len__(self) -> int:
@@ -165,10 +201,11 @@ class ReportStore:
         ei = self._event_index.get(event)
         a = 0
         if di is not None and ei is not None:
-            key = di * len(self._event_names) + ei
-            k = int(self._pair_keys.searchsorted(key))
-            if k < len(self._pair_keys) and self._pair_keys.item(k) == key:
-                a = self._pair.item(k, qi)
+            # The last incidence at or before (pair, qi), if it is the pair's.
+            n_q, pair = len(self._ordinals), di * len(self._event_names) + ei
+            k = int(self._inc.searchsorted(pair * n_q + qi, "right")) - 1
+            if k >= 0 and self._inc.item(k) // n_q == pair:
+                a = self._inc_count.item(k)
         b = (self._drug.item(di, qi) if di is not None else 0) - a
         c = (self._event.item(ei, qi) if ei is not None else 0) - a
         return ContingencyTable(a=a, b=b, c=c, d=self._n.item(qi) - a - b - c)
@@ -184,14 +221,18 @@ class ReportStore:
         qi = self._quarter_index(cutoff)
         if qi < 0:
             return []
-        # Pairs first reported after the cutoff count 0 there: never active.
-        keys = self._pair_keys[self._pair[:, qi] >= max(min_a, 1)]
+        keys, start = self._pair_keys, self._pair_start
         n_e = len(self._event_names)
-        drug_idx = keys // n_e
         if drugs is not None:
             wanted = [self._drug_index[d] for d in drugs if d in self._drug_index]
-            keep = np.isin(drug_idx, np.array(wanted, dtype=np.int64))
-            keys, drug_idx = keys[keep], drug_idx[keep]
+            keep = np.isin(keys // n_e, np.array(wanted, dtype=np.int64))
+            keys, start = keys[keep], start[keep]
+        # Each pair's last incidence at or before qi; one before the pair's
+        # run means a first report after the cutoff, so a = 0 there.
+        k = self._inc.searchsorted(keys * len(self._ordinals) + qi, "right") - 1
+        a = np.where(k >= start, self._inc_count[k], 0)
+        keys = keys[a >= max(min_a, 1)]
+        drug_idx = keys // n_e
         names, events = self._drug_names, self._event_names
         return [
             (names[d], events[e])
@@ -213,7 +254,10 @@ def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
 
     The file is parsed in blocks of about 32k characters with string and
     numpy operations over the whole block, so the parse holds one block of
-    text at a time, however long the file is.
+    text at a time, however long the file is. Each row is kept as integer
+    columns and its report id as UTF-8 bytes, not as a Python object: ids
+    of one length share a bytes array that wide, and duplicates are found
+    by one sort per length.
     """
     loader = _BlockLoader(path)
     with open(path, encoding="utf-8") as fh:
@@ -230,7 +274,11 @@ class _BlockLoader:
         self.drug_codes: dict[str, int] = {}
         self.event_codes: dict[str, int] = {}
         self.quarter_memo: dict[str, int] = {}  # quarter text -> ordinal
-        self.latest: dict[str, int] = {}  # report id -> record of its last row
+        # Report ids, each with a tab, UTF-8, by their length in bytes: per
+        # length, a bytes array that wide for each block; and per block, the
+        # length of each record's id.
+        self.ids: dict[int, list[np.ndarray]] = {}
+        self.id_widths: list[np.ndarray] = [np.zeros(0, dtype=np.uint8)]
         self.record_line = array("q")  # record index -> physical line number
         self.warnings: list[str] = []
         empty = np.zeros(0, dtype=np.int64)
@@ -254,16 +302,16 @@ class _BlockLoader:
             rows = [lines[no - first_line] for no in linenos]
         if not rows[-1].endswith("\n"):  # the file's last line
             rows[-1] += "\n"
-        first_record = len(self.record_line)
         self.record_line.extend(linenos)
         parsed = self._parse(rows)
         if parsed is None:
             bad, msg = _first_bad_row(rows)
             good_ids = [row.split("\t", 1)[0] for row in rows[:bad]]
-            self._note_duplicates(good_ids, first_record)  # rows above it still warn
+            self._add_ids(good_ids)
+            self._replaced()  # rows above it still warn
             raise ValidationError(f"{self.path}:{linenos[bad]}: {msg}")
         ids, columns = parsed
-        self._note_duplicates(ids, first_record)
+        self._add_ids(ids)
         self.blocks.append(columns)
 
     def _parse(self, rows: list[str]) -> tuple[list[str], tuple] | None:
@@ -300,31 +348,69 @@ class _BlockLoader:
         )
         return ids, (quarter, n_drugs, n_events, drugs, events)
 
-    def _note_duplicates(self, ids: list[str], first_record: int) -> None:
-        """Point each id at its record, in file order, warning of each replacement."""
-        latest, record_line = self.latest, self.record_line
-        for record, report_id in enumerate(ids, first_record):
-            previous = latest.get(report_id)
-            if previous is not None:
-                msg = (
-                    f"duplicate report id {report_id!r} at line "
-                    f"{record_line[record]} replaces line {record_line[previous]}"
-                )
-                log.warning("%s: %s", self.path, msg)
-                self.warnings.append(msg)
-            latest[report_id] = record
+    def _add_ids(self, ids: list[str]) -> None:
+        """File the ids of the next records by their length.
+
+        A field holds no tab or newline. The tab after each id keeps the
+        length of an id that ends in NULs, which numpy's bytes type strips.
+        """
+        if not ids:
+            return
+        text = np.array(("\t\n".join(ids) + "\t").encode("utf-8").split(b"\n"))
+        width = np.char.str_len(text)
+        # One byte a record in a block whose ids are all under 255 bytes.
+        self.id_widths.append(width.astype(np.min_scalar_type(width.max())))
+        order = np.argsort(width, kind="stable")
+        for part in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+            w = int(width[part[0]])
+            self.ids.setdefault(w, []).append(text[part].astype(f"S{w}"))
+
+    def _replaced(self) -> np.ndarray:
+        """The records whose id a later record reuses, warning of each
+        replacement in file order; the ids are spent after it."""
+        # The records by id length, in file order within a length: the
+        # order in which ``self.ids`` holds them. Only ids of one length can
+        # match, so each length is sorted alone and no id is padded.
+        by_width = np.argsort(np.concatenate(self.id_widths), kind="stable")
+        found = []  # (record, the record it replaces, id)
+        start = 0
+        for width in sorted(self.ids):
+            ids = np.concatenate(self.ids.pop(width))
+            records = by_width[start : start + len(ids)]
+            start += len(ids)
+            # A stable sort keeps each id's records in file order, so every
+            # record is replaced by the next one in its run.
+            order = np.argsort(ids, kind="stable")
+            in_order = ids[order]
+            same = np.flatnonzero(in_order[1:] == in_order[:-1])
+            found += zip(
+                records[order[same + 1]].tolist(),
+                records[order[same]].tolist(),
+                in_order[same].tolist(),
+            )
+        del self.ids, self.id_widths
+        found.sort()
+        record_line = self.record_line
+        for record, previous, report_id in found:
+            msg = (
+                f"duplicate report id {report_id.decode('utf-8')[:-1]!r} at line "
+                f"{record_line[record]} replaces line {record_line[previous]}"
+            )
+            log.warning("%s: %s", self.path, msg)
+            self.warnings.append(msg)
+        return np.array([previous for _, previous, _ in found], dtype=np.int64)
 
     def store(self, ontology: Ontology | None) -> ReportStore:
         """The store of every block added; the loader is spent after it."""
+        replaced = self._replaced()
         if ontology is not None:
             for code in sorted(set(self.event_codes) - set(ontology.pts())):
                 msg = f"event code {code!r} not present in the ontology"
                 log.warning("%s: %s", self.path, msg)
                 self.warnings.append(msg)
-        records = np.fromiter(self.latest.values(), dtype=np.int64)
-        alive = np.zeros(len(self.record_line), dtype=bool)
-        alive[records] = True
-        del records, self.latest, self.record_line
+        alive = np.ones(len(self.record_line), dtype=bool)
+        alive[replaced] = False
+        del replaced, self.record_line
         columns = [np.concatenate(col) for col in zip(*self.blocks)]
         del self.blocks
         cols = _Columns(self.drug_codes, self.event_codes, *columns)

@@ -64,18 +64,12 @@ def _best(loader, path: str, repeats: int):
     return min(times), store
 
 
-def _same(a, b) -> bool:
-    return (
-        len(a) == len(b)
-        and a.quarters() == b.quarters()
-        and a.load_warnings == b.load_warnings
-        and a._drug_names == b._drug_names
-        and a._event_names == b._event_names
-        and all(
-            np.array_equal(getattr(a, k), getattr(b, k))
-            for k in ("_n", "_drug", "_event", "_pair_keys", "_pair")
-        )
-    )
+def _state(store) -> dict:
+    """Every attribute of a store, arrays as their dtype and values."""
+    return {
+        name: (value.dtype, value.tolist()) if isinstance(value, np.ndarray) else value
+        for name, value in vars(store).items()
+    }
 
 
 def main() -> None:
@@ -90,7 +84,7 @@ def main() -> None:
         for label, path in (("as given", args.reports), ("multi-code", folded)):
             t_block, block = _best(load_reports, path, args.repeats)
             t_line, line = _best(load_reports_by_line, path, args.repeats)
-            if not _same(block, line):
+            if _state(block) != _state(line):
                 raise SystemExit(f"{label}: the loaders disagree")
             print(
                 f"{label:10s} reports={len(block):7d} "

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -94,6 +95,84 @@ def test_dedup_last_wins(tmp_path, caplog):
     assert (t.a, t.b, t.c, t.d) == (0, 0, 0, 1)
     assert len(store.load_warnings) == 1
     assert "R1" in store.load_warnings[0]
+
+
+def test_duplicate_chain_across_blocks(tmp_path, caplog):
+    # R7 on lines 1, 6 and 11, in three different 64-character blocks;
+    # R1 and R1\x00 are two reports.
+    rows = [
+        "R7\t2015Q1\tD1\tE1",
+        "R1\t2015Q1\tD1\tE2",
+        "R1\x00\t2015Q1\tD2\tE2",
+        "R2\t2015Q1\tD3\tE3",
+        "R3\t2015Q1\tD3\tE3",
+        "R7\t2015Q2\tD2\tE1",
+        "R4\t2015Q2\tD3\tE3",
+        "R5\t2015Q2\tD3\tE3",
+        "R6\t2015Q2\tD3\tE3",
+        "R8\t2015Q2\tD3\tE3",
+        "R7\t2015Q3\tD4\tE4",
+    ]
+    path = tmp_path / "chain.tsv"
+    path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    with patch.object(reports, "_BLOCK_CHARS", 64), caplog.at_level(logging.WARNING):
+        store = load_reports(str(path))
+    want = [
+        "duplicate report id 'R7' at line 6 replaces line 1",
+        "duplicate report id 'R7' at line 11 replaces line 6",
+    ]
+    assert store.load_warnings == want
+    assert [r.getMessage() for r in caplog.records] == [f"{path}: {w}" for w in want]
+    assert len(store) == 9
+    assert store.active_pairs(Q("2015Q3")) == [
+        ("D1", "E2"), ("D2", "E2"), ("D3", "E3"), ("D4", "E4")
+    ]
+    assert store.contingency("D3", "E3", Q("2015Q3")).a == 6
+    assert store.active_pairs(Q("2015Q2")) == [("D1", "E2"), ("D2", "E2"), ("D3", "E3")]
+    assert store.active_pairs(Q("2015Q1")) == store.active_pairs(Q("2015Q2"))
+
+
+def test_store_memory_grows_with_incidences(tmp_path):
+    # 20 drugs x 20 events: 400 pairs, each reported in one of 40 quarters,
+    # three reports a quarter. A pair x quarter matrix would hold 16000.
+    lines, n = [], 0
+    for j in range(40):
+        quarter = f"{2010 + j // 4}Q{j % 4 + 1}"
+        drugs = ";".join(f"D{2 * (j // 4) + i:02d}" for i in range(2))
+        events = ";".join(f"E{5 * (j % 4) + i:02d}" for i in range(5))
+        for _ in range(3):
+            n += 1
+            lines.append(f"R{n}\t{quarter}\t{drugs}\t{events}\n")
+    path = tmp_path / "reports.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    store = load_reports(str(path))
+    n_q, incidences = len(store.quarters()), 400
+    assert n_q == 40
+    assert len(store.active_pairs(Q("2019Q4"))) == incidences
+    held = sum(v.size for v in vars(store).values() if isinstance(v, np.ndarray))
+    assert held <= 4 * (len(store) + incidences + (20 + 20) * n_q)
+
+
+def _traced_peak(load, path) -> int:
+    tracemalloc.start()
+    try:
+        load(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_id_widens_no_other(tmp_path):
+    # Ids padded to the longest one would take n * width bytes here.
+    n, width = 20_000, 2_000
+    ids = [f"R{i}" for i in range(n)]
+    peaks = []
+    for name in ("short.tsv", "long.tsv"):
+        path = tmp_path / name
+        path.write_text("".join(f"{i}\t2015Q1\tD1\tE1\n" for i in ids), encoding="utf-8")
+        peaks.append(_traced_peak(load_reports, str(path)))
+        ids[n // 2] = "L" * width
+    assert peaks[1] - peaks[0] < n * width / 4
 
 
 def test_empty_file(tmp_path):
@@ -230,6 +309,9 @@ def test_loaded_counts_match_rescan_across_gaps_and_duplicates(tmp_path_factory,
 # Codes may hold characters that str.splitlines() would break on; a file
 # line ends only at \n, \r\n or \r, so these stay inside their field.
 FILE_CODES = ["D1", "D2", "E1", "L1", "X\x1cY", "P Q", "V\x0bW"]
+# Ids that differ only by a trailing NUL, by a prefix or by an inner
+# space, and one that is not ASCII.
+REPORT_IDS = [f"R{i}" for i in range(10)] + ["R1\x00", "R10", "Ré", "R 1"]
 # Comments (some with tabs), blank and whitespace-only lines, and
 # indented comments; \x1c is whitespace to str.lstrip().
 SKIPPED_LINES = ["#", "# note", "#\tx\ty", "", " ", " \t ", "\x1c", "  # x", "\t#\tx"]
@@ -265,7 +347,7 @@ def report_files(draw):
         lines.append(
             "\t".join(
                 [
-                    f"R{draw(st.integers(0, 9))}",
+                    draw(st.sampled_from(REPORT_IDS)),
                     draw(st.sampled_from(GAPPED_QUARTERS + [" 2015Q3"])),
                     ";".join(drugs),
                     ";".join(events),
