@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from icborrow import ContingencyTable, posterior_ic, signal_flag
 from icborrow.errors import NumericalError
-from icborrow.ic import PROB_FLOOR, default_prior
+from icborrow.ic import _BLOCK_ROWS, PROB_FLOOR, default_prior
 
 from oracles import exact_ic_mean, ic_cdf, ic_moments, numpy_ic_summaries
 
@@ -94,8 +95,13 @@ def test_large_degenerate_tables_stay_finite(cells, seed):
 
 # Every n but 1001 puts the 2.5% point at t ~ 0.975 between order
 # statistics and the 97.5% point at t ~ 0.025, the two branches of numpy's
-# interpolation; at 1001 both indices are integral (t = 0).
-SUMMARY_SAMPLE_SIZES = [1000, 1001, 2000, 20_000, 100_000]
+# interpolation; at 1001 both indices are integral (t = 0). The sizes
+# around _BLOCK_ROWS and the ragged 3 blocks + 5 rows check that the
+# block-wise draws equal the oracle's one-shot draw across block edges.
+SUMMARY_SAMPLE_SIZES = [
+    1000, 1001, 2000, 20_000, 100_000,
+    _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5,
+]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -113,6 +119,8 @@ SUMMARY_SAMPLE_SIZES = [1000, 1001, 2000, 20_000, 100_000]
     st.integers(0, 2**64 - 1),
 )
 @example((0, 100, 100, 9800), 2000, 3)
+# Floored and unfloored draws in each block of a ragged multi-block sample
+@example((0, 100, 100, 9800), 3 * _BLOCK_ROWS + 5, 1)
 @example((5, 15, 10, 970), 1001, 42)
 # Tables and seeds where a + d*t and b - d*(1 - t) round differently,
 # at q = 0.025 (t ~ 0.975) and at q = 0.975 (t ~ 0.025).
@@ -126,6 +134,22 @@ def test_summaries_equal_numpy_on_the_same_draws(cells, n_samples, seed):
     assert {k: repr(v) for k, v in got.items()} == {
         k: repr(v) for k, v in want.items()
     }
+
+
+def test_working_set_per_draw():
+    # The IC values and their squared deviations take 16 bytes per draw,
+    # and one block of the Dirichlet sample adds 256 KB while the values
+    # fill; the whole n x 4 sample at once would take 48 bytes per draw.
+    table = ContingencyTable(100, 300, 150, 9450)
+    n = 100_000
+    tracemalloc.start()
+    try:
+        post = posterior_ic(table, n_samples=n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert post.n_floored == 0
+    assert peak / n < 20.0
 
 
 @pytest.mark.parametrize(
