@@ -1,7 +1,8 @@
 """Full study loop: generate, screen with two methods, score, compare.
 
 Uses the concordant-cluster scenario (five similar sibling events all
-planted on one drug). Similarity borrowing should find the planted pairs
+planted on one drug) at seed 4: ``dataclasses.replace(PRESETS["concordant"],
+seed=4)``. Similarity borrowing should find the planted pairs
 no later than the plain information component and often a quarter or two
 earlier; the script prints per-quarter sensitivity for both methods and
 the head-to-head detection table.
@@ -11,10 +12,12 @@ Run with:  python demos/full_evaluation.py        (about a minute)
 
 import os
 import tempfile
+from dataclasses import replace
 
 from icborrow import (
     METHOD_IC,
     METHOD_SSM,
+    PRESETS,
     RunConfig,
     RunContext,
     build_similarity,
@@ -27,12 +30,11 @@ from icborrow import (
     run_quarters,
     score,
 )
-from icborrow.synth import concordant_scenario
 
 
 def main() -> None:
     workdir = tempfile.mkdtemp(prefix="icborrow-eval-")
-    generate(concordant_scenario(seed=4), workdir)
+    generate(replace(PRESETS["concordant"], seed=4), workdir)
     ontology = load_ontology(os.path.join(workdir, "ontology.tsv"))
     store = load_reports(os.path.join(workdir, "reports.tsv"), ontology)
     entries = load_reference(os.path.join(workdir, "reference.tsv"))

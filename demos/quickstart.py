@@ -2,7 +2,9 @@
 
 Generates a small synthetic reporting history, screens every active
 (drug, event) pair with the plain information component, and prints the
-pairs whose 95% interval clears zero at the final quarter.
+pairs whose 95% interval clears zero at the final quarter. The history is
+the basic preset, ``PRESETS["basic"]``; another seed or size is
+``dataclasses.replace(PRESETS["basic"], seed=3, n_reports=2000)``.
 
 Run with:  python demos/quickstart.py
 """
@@ -12,6 +14,7 @@ import tempfile
 
 from icborrow import (
     METHOD_IC,
+    PRESETS,
     RunConfig,
     RunContext,
     generate,
@@ -19,12 +22,11 @@ from icborrow import (
     load_reports,
     run_quarters,
 )
-from icborrow.synth import basic_scenario
 
 
 def main() -> None:
     workdir = tempfile.mkdtemp(prefix="icborrow-quickstart-")
-    manifest = generate(basic_scenario(seed=0), workdir)
+    manifest = generate(PRESETS["basic"], workdir)
     print(f"wrote {manifest['totals']['reports']} reports to {workdir}")
 
     ontology = load_ontology(os.path.join(workdir, "ontology.tsv"))

@@ -50,14 +50,11 @@ from .pipeline import (
 from .quarters import Quarter
 from .reports import ContingencyTable, ReportStore, load_reports
 from .synth import (
+    PRESETS,
     ClusterSpec,
     PlantedSignal,
     Scenario,
-    basic_scenario,
-    concordant_scenario,
-    discordant_scenario,
     generate,
-    null_scenario,
     verify_manifest,
 )
 
@@ -79,6 +76,7 @@ __all__ = [
     "Ontology",
     "PairResult",
     "PlantedSignal",
+    "PRESETS",
     "Quarter",
     "ReferenceEntry",
     "ReportStore",
@@ -88,16 +86,12 @@ __all__ = [
     "Scenario",
     "SimilarityMatrix",
     "ValidationError",
-    "basic_scenario",
     "bootstrap",
     "borrow",
     "build_similarity",
-    "concordant_scenario",
     "check_negative_controls",
     "compare_methods",
-    "discordant_scenario",
     "generate",
-    "null_scenario",
     "load_ontology",
     "load_reference",
     "load_reports",

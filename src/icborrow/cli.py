@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import fnmatch
 import json
 import logging
@@ -49,23 +50,9 @@ from .pipeline import (
     write_results_csv,
 )
 from .reports import load_reports
-from .synth import (
-    basic_scenario,
-    concordant_scenario,
-    discordant_scenario,
-    generate,
-    null_scenario,
-    verify_manifest,
-)
+from .synth import PRESETS, generate, verify_manifest
 
 log = logging.getLogger(__name__)
-
-_PRESETS = {
-    "basic": basic_scenario,
-    "concordant": concordant_scenario,
-    "discordant": discordant_scenario,
-    "null": null_scenario,
-}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -345,13 +332,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         ok = verify_manifest(args.verify)
         print(json.dumps({"verified": ok, "dir": args.verify}))
         return 0 if ok else 2
-    factory = _PRESETS[args.preset]
-    overrides = {}
-    for field in ("n_drugs", "n_pts", "n_reports", "n_quarters", "negatives_per_drug"):
-        value = getattr(args, field)
-        if value is not None:
-            overrides[field] = value
-    scenario = factory(seed=args.seed, **overrides)
+    sizes = ("n_drugs", "n_pts", "n_reports", "n_quarters", "negatives_per_drug")
+    overrides = {f: getattr(args, f) for f in sizes if getattr(args, f) is not None}
+    scenario = dataclasses.replace(PRESETS[args.preset], seed=args.seed, **overrides)
     manifest = generate(scenario, args.out)
     print(
         json.dumps(
@@ -432,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("generate", help="emit a synthetic data set")
-    p.add_argument("--preset", choices=sorted(_PRESETS), default="basic")
+    p.add_argument("--preset", choices=sorted(PRESETS), default="basic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="synthetic")
     p.add_argument("--n-drugs", dest="n_drugs", type=int)

@@ -23,7 +23,7 @@ class Quarter:
 
     @classmethod
     def parse(cls, text: str) -> "Quarter":
-        m = _QUARTER_RE.match(text.strip())
+        m = _QUARTER_RE.match(text.strip()) if isinstance(text, str) else None
         if m is None:
             raise ValidationError(f"bad quarter {text!r}, expected YYYYQn")
         return cls(int(m.group(1)), int(m.group(2)))

@@ -13,6 +13,7 @@ deterministic per (scenario, seed): regenerating yields byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -77,6 +78,7 @@ class Scenario:
             ("n_quarters", 1),
             ("negatives_per_drug", 0),
             ("seed", 0),
+            ("label_lag", 0),
         ):
             value = getattr(self, name)
             if not isinstance(value, int) or value < least:
@@ -100,13 +102,15 @@ class Layout:
     cluster_members: list[list[str]]
     groupmates: list[list[str]]
     background: list[str]
+    n_bg_hlt: int
+    n_bg_hlgt: int
+    pt_hlts: dict[str, list[str]]  # every PT's MedDRA HLT parents
     n_concepts: int
     designed_ssm: list[float]
 
 
 def _layout(s: Scenario) -> Layout:
-    total_cluster = sum(c.size for c in s.clusters)
-    if total_cluster > s.n_pts:
+    if sum(c.size for c in s.clusters) > s.n_pts:
         raise ValidationError("cluster sizes exceed n_pts")
     members = []
     offset = 0
@@ -115,6 +119,10 @@ def _layout(s: Scenario) -> Layout:
             raise ValidationError(f"unknown cluster kind {c.kind!r}")
         if c.size < 2:
             raise ValidationError("clusters need at least 2 PTs")
+        if not isinstance(c.n_groupmates, int) or c.n_groupmates < 0:
+            raise ValidationError(
+                f"cluster n_groupmates must be an integer >= 0, got {c.n_groupmates!r}"
+            )
         members.append([pt_code(offset + j) for j in range(c.size)])
         offset += c.size
     background = [pt_code(i) for i in range(offset, s.n_pts)]
@@ -127,9 +135,14 @@ def _layout(s: Scenario) -> Layout:
         groupmates.append(background[take : take + n])
         take += n
 
-    n_bg = len(background)
-    n_bg_hlt = math.ceil(n_bg / _PTS_PER_HLT) if n_bg else 0
-    n_bg_hlgt = math.ceil(n_bg_hlt / _HLTS_PER_HLGT) if n_bg_hlt else 0
+    pt_hlts = {pt: [f"HLTC{idx:02d}"] for idx, ms in enumerate(members) for pt in ms}
+    for j, pt in enumerate(background):
+        pt_hlts[pt] = [f"HLT{j // _PTS_PER_HLT:03d}"]
+    for idx, mates in enumerate(groupmates):
+        for pt in mates:
+            pt_hlts[pt].append(f"HLTC{idx:02d}")
+    n_bg_hlt = math.ceil(len(background) / _PTS_PER_HLT)
+    n_bg_hlgt = math.ceil(n_bg_hlt / _HLTS_PER_HLGT)
     n_concepts = (
         s.n_pts
         + 3 * len(s.clusters)  # GRP + cluster HLT + cluster HLGT
@@ -151,7 +164,10 @@ def _layout(s: Scenario) -> Layout:
                 f"n_pts by about {n_req - n_concepts}"
             )
         designed.append(ssm)
-    return Layout(members, groupmates, background, n_concepts, designed)
+    return Layout(
+        members, groupmates, background, n_bg_hlt, n_bg_hlgt, pt_hlts,
+        n_concepts, designed,
+    )
 
 
 def _render_ontology(s: Scenario, lay: Layout) -> str:
@@ -171,23 +187,17 @@ def _render_ontology(s: Scenario, lay: Layout) -> str:
         edges.append((f"HLTC{idx:02d}", f"HLGC{idx:02d}", "MEDDRA"))
         for pt in lay.cluster_members[idx]:
             add_node(pt, "PT", f"term {pt}", isa_parent=f"GRP{idx:02d}")
-            edges.append((pt, f"HLTC{idx:02d}", "MEDDRA"))
 
-    n_bg_hlt = math.ceil(len(lay.background) / _PTS_PER_HLT) if lay.background else 0
-    for k in range(n_bg_hlt):
+    for k in range(lay.n_bg_hlt):
         add_node(f"HLT{k:03d}", "HLT", f"term group {k}")
-    n_bg_hlgt = math.ceil(n_bg_hlt / _HLTS_PER_HLGT) if n_bg_hlt else 0
-    for k in range(n_bg_hlgt):
+        edges.append((f"HLT{k:03d}", f"HLG{k // _HLTS_PER_HLGT:03d}", "MEDDRA"))
+    for k in range(lay.n_bg_hlgt):
         add_node(f"HLG{k:03d}", "HLGT", f"group {k}")
         edges.append((f"HLG{k:03d}", "SOC0", "MEDDRA"))
-    for k in range(n_bg_hlt):
-        edges.append((f"HLT{k:03d}", f"HLG{k // _HLTS_PER_HLGT:03d}", "MEDDRA"))
-    for j, pt in enumerate(lay.background):
+    for pt in lay.background:
         add_node(pt, "PT", f"term {pt}")
-        edges.append((pt, f"HLT{j // _PTS_PER_HLT:03d}", "MEDDRA"))
-    for idx, mates in enumerate(lay.groupmates):
-        for pt in mates:
-            edges.append((pt, f"HLTC{idx:02d}", "MEDDRA"))
+    for pt, hlts in lay.pt_hlts.items():
+        edges.extend((pt, hlt, "MEDDRA") for hlt in hlts)
 
     for code, level, label in nodes:
         lines.append(f"N\t{code}\t{level}\t{label}")
@@ -228,8 +238,10 @@ def _render_reports(s: Scenario, lay: Layout) -> tuple[str, dict[str, int]]:
             raise ValidationError(f"planted pair ({p.drug}, {p.pt}) not in scenario")
         if p.multiplier < 1.0:
             raise ValidationError("planted multipliers must be >= 1")
-        if not 0 <= p.onset < s.n_quarters:
-            raise ValidationError(f"onset {p.onset} outside 0..{s.n_quarters - 1}")
+        if not isinstance(p.onset, int) or not 0 <= p.onset < s.n_quarters:
+            raise ValidationError(
+                f"onset {p.onset!r} is not an integer in 0..{s.n_quarters - 1}"
+            )
 
     rng = np.random.Generator(np.random.Philox(s.seed))
     lines = ["# synthetic spontaneous reports"]
@@ -257,18 +269,6 @@ def _render_reports(s: Scenario, lay: Layout) -> tuple[str, dict[str, int]]:
     return "\n".join(lines) + "\n", counts
 
 
-def _positive_hlts(s: Scenario, lay: Layout) -> set[str]:
-    hlts = set()
-    positive_pts = {p.pt for p in s.planted}
-    for idx, members in enumerate(lay.cluster_members):
-        if positive_pts & set(members) or positive_pts & set(lay.groupmates[idx]):
-            hlts.add(f"HLTC{idx:02d}")
-    for j, pt in enumerate(lay.background):
-        if pt in positive_pts:
-            hlts.add(f"HLT{j // _PTS_PER_HLT:03d}")
-    return hlts
-
-
 def _render_reference(s: Scenario, lay: Layout) -> tuple[str, list[dict], list[dict]]:
     lines = ["# reference set"]
     positives = []
@@ -277,16 +277,16 @@ def _render_reference(s: Scenario, lay: Layout) -> tuple[str, list[dict], list[d
         lines.append(f"{p.drug}\t{p.pt}\tPOSITIVE\t{label}")
         positives.append({"drug": p.drug, "pt": p.pt, "label_quarter": str(label)})
 
-    blocked_hlts = _positive_hlts(s, lay)
     planted_pts = {p.pt for p in s.planted}
+    blocked_hlts = {hlt for pt in planted_pts for hlt in lay.pt_hlts[pt]}
     groupmate_pts = {pt for mates in lay.groupmates for pt in mates}
-    candidates = []
-    for j, pt in enumerate(lay.background):
-        if pt in planted_pts or pt in groupmate_pts:
-            continue
-        if f"HLT{j // _PTS_PER_HLT:03d}" in blocked_hlts:
-            continue
-        candidates.append(pt)
+    candidates = [
+        pt
+        for pt in lay.background
+        if pt not in planted_pts
+        and pt not in groupmate_pts
+        and blocked_hlts.isdisjoint(lay.pt_hlts[pt])
+    ]
     drugs = sorted({p.drug for p in s.planted}) or [
         drug_code(i) for i in range(s.n_drugs)
     ]
@@ -300,55 +300,39 @@ def _render_reference(s: Scenario, lay: Layout) -> tuple[str, list[dict], list[d
 
 def _scenario_echo(s: Scenario) -> dict:
     return {
-        "name": s.name,
-        "n_drugs": s.n_drugs,
-        "n_pts": s.n_pts,
-        "n_reports": s.n_reports,
-        "n_quarters": s.n_quarters,
-        "seed": s.seed,
+        **dataclasses.asdict(s),
         "start": str(s.start),
-        "label_lag": s.label_lag,
-        "negatives_per_drug": s.negatives_per_drug,
-        "planted": [
-            {
-                "drug": p.drug,
-                "pt": p.pt,
-                "multiplier": p.multiplier,
-                "onset": p.onset,
-            }
-            for p in s.planted
-        ],
-        "clusters": [
-            {
-                "kind": c.kind,
-                "size": c.size,
-                "target_ssm": c.target_ssm,
-                "n_groupmates": c.n_groupmates,
-            }
-            for c in s.clusters
-        ],
+        "planted": [dataclasses.asdict(p) for p in s.planted],
+        "clusters": [dataclasses.asdict(c) for c in s.clusters],
     }
 
 
-def scenario_from_echo(echo: dict) -> Scenario:
+def _fields_of(cls, echo: object) -> dict:
+    """echo itself, once it is checked to hold exactly the fields of cls."""
+    if not isinstance(echo, dict):
+        raise ValidationError(f"{cls.__name__} echo is not an object: {echo!r}")
+    names = {f.name for f in dataclasses.fields(cls)}
+    if echo.keys() != names:
+        raise ValidationError(
+            f"{cls.__name__} echo: missing fields {sorted(names - echo.keys())}, "
+            f"unknown fields {sorted(echo.keys() - names)}"
+        )
+    return echo
+
+
+def scenario_from_echo(echo: object) -> Scenario:
+    """The scenario a manifest echo describes. Every field must be present,
+    and none unknown, in the scenario and in each planted pair and cluster."""
+    fields = _fields_of(Scenario, echo)
+    planted = [PlantedSignal(**_fields_of(PlantedSignal, p)) for p in fields["planted"]]
+    clusters = [ClusterSpec(**_fields_of(ClusterSpec, c)) for c in fields["clusters"]]
     return Scenario(
-        name=echo["name"],
-        n_drugs=echo["n_drugs"],
-        n_pts=echo["n_pts"],
-        n_reports=echo["n_reports"],
-        n_quarters=echo["n_quarters"],
-        seed=echo["seed"],
-        start=Quarter.parse(echo["start"]),
-        label_lag=echo["label_lag"],
-        negatives_per_drug=echo["negatives_per_drug"],
-        planted=tuple(
-            PlantedSignal(p["drug"], p["pt"], p["multiplier"], p["onset"])
-            for p in echo["planted"]
-        ),
-        clusters=tuple(
-            ClusterSpec(c["kind"], c["size"], c["target_ssm"], c["n_groupmates"])
-            for c in echo["clusters"]
-        ),
+        **{
+            **fields,
+            "start": Quarter.parse(fields["start"]),
+            "planted": tuple(planted),
+            "clusters": tuple(clusters),
+        }
     )
 
 
@@ -448,17 +432,24 @@ def verify_manifest(outdir: str) -> bool:
 
 
 # -- stock scenarios -----------------------------------------------------------
+#
+# Callers take a preset with another seed or size through
+# dataclasses.replace(PRESETS[name], seed=..., n_reports=...).
 
+_CONCORDANT = Scenario(
+    name="concordant", n_drugs=4, n_pts=300, n_reports=3000, n_quarters=8, seed=0,
+    clusters=(ClusterSpec(CONCORDANT, size=5, target_ssm=0.35),),
+    # five similar sibling PTs all planted on one drug
+    planted=tuple(
+        PlantedSignal(drug_code(0), pt_code(j), multiplier=6.0, onset=2)
+        for j in range(5)
+    ),
+)
 
-def basic_scenario(seed: int = 0, **overrides) -> Scenario:
-    """Small mixed scenario for demos and CLI round-trips."""
-    fields = dict(
-        name="basic",
-        n_drugs=3,
-        n_pts=48,
-        n_reports=900,
-        n_quarters=6,
-        seed=seed,
+PRESETS: dict[str, Scenario] = {
+    # small mixed scenario for demos and CLI round-trips
+    "basic": Scenario(
+        name="basic", n_drugs=3, n_pts=48, n_reports=900, n_quarters=6, seed=0,
         clusters=(ClusterSpec(CONCORDANT, size=3, target_ssm=0.3),),
         planted=(
             PlantedSignal(drug_code(0), pt_code(0), multiplier=5.0, onset=1),
@@ -466,71 +457,23 @@ def basic_scenario(seed: int = 0, **overrides) -> Scenario:
             PlantedSignal(drug_code(1), pt_code(10), multiplier=4.0, onset=2),
         ),
         negatives_per_drug=8,
-    )
-    fields.update(overrides)
-    return Scenario(**fields)
-
-
-def concordant_scenario(seed: int = 0, **overrides) -> Scenario:
-    """Five similar sibling PTs all planted on one drug."""
-    cluster = ClusterSpec(CONCORDANT, size=5, target_ssm=0.35)
-    fields = dict(
-        name="concordant",
-        n_drugs=4,
-        n_pts=300,
-        n_reports=3000,
-        n_quarters=8,
-        seed=seed,
-        clusters=(cluster,),
-        planted=tuple(
-            PlantedSignal(drug_code(0), pt_code(j), multiplier=6.0, onset=2)
-            for j in range(5)
-        ),
-    )
-    fields.update(overrides)
-    return Scenario(**fields)
-
-
-def null_scenario(seed: int = 0, **overrides) -> Scenario:
-    """Same shape as the concordant scenario but nothing planted."""
-    fields = dict(
-        name="null",
-        n_drugs=4,
-        n_pts=300,
-        n_reports=3000,
-        n_quarters=8,
-        seed=seed,
-        clusters=(ClusterSpec(CONCORDANT, size=5, target_ssm=0.35),),
-        planted=(),
-    )
-    fields.update(overrides)
-    return Scenario(**fields)
-
-
-def discordant_scenario(seed: int = 0, **overrides) -> Scenario:
-    """One strongly elevated target whose similar siblings are rare and null,
-    while its well-reported HLGT group-mates carry a weaker elevation.
-
-    Group borrowing then pools a confident prior centered well below the
-    target's own signal; similarity borrowing sees only the uninformative
-    siblings. Group-mate codes follow the layout rule: cluster members take
-    the first ``size`` PT codes, group-mates the next ``n_groupmates``.
-    """
-    cluster = ClusterSpec(DISCORDANT, size=5, target_ssm=0.35, n_groupmates=4)
-    groupmates = tuple(pt_code(cluster.size + j) for j in range(cluster.n_groupmates))
-    fields = dict(
+    ),
+    "concordant": _CONCORDANT,
+    "null": dataclasses.replace(_CONCORDANT, name="null", planted=()),
+    # One strongly elevated target whose similar siblings are rare and null,
+    # while its well-reported HLGT group-mates carry a weaker elevation. Group
+    # borrowing then pools a confident prior centered well below the target's
+    # own signal; similarity borrowing sees only the uninformative siblings.
+    # By the layout rule the cluster takes PT0000-PT0004 and its four
+    # group-mates the next codes, PT0005-PT0008.
+    "discordant": dataclasses.replace(
+        _CONCORDANT,
         name="discordant",
-        n_drugs=4,
-        n_pts=300,
-        n_reports=3000,
-        n_quarters=8,
-        seed=seed,
-        clusters=(cluster,),
+        clusters=(ClusterSpec(DISCORDANT, size=5, target_ssm=0.35, n_groupmates=4),),
         planted=(PlantedSignal(drug_code(0), pt_code(0), multiplier=6.0, onset=2),)
         + tuple(
-            PlantedSignal(drug_code(0), gm, multiplier=2.5, onset=0)
-            for gm in groupmates
+            PlantedSignal(drug_code(0), pt_code(j), multiplier=2.5, onset=0)
+            for j in range(5, 9)
         ),
-    )
-    fields.update(overrides)
-    return Scenario(**fields)
+    ),
+}

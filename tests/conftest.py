@@ -115,13 +115,20 @@ def break_scenario_echo(outdir, change) -> None:
     path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
-# Scenario echoes verify_manifest cannot rebuild a scenario from.
+# Scenario echoes verify_manifest cannot rebuild a scenario from. Each edits
+# the echo of a scenario with one cluster and at least one planted pair.
 MALFORMED_ECHOES = {
     "missing-key": lambda m: m["scenario"].pop("label_lag"),
+    "unknown-key": lambda m: m["scenario"].update(colour="blue"),
+    "cluster-missing-key": lambda m: m["scenario"]["clusters"][0].pop("n_groupmates"),
+    "planted-unknown-key": lambda m: m["scenario"]["planted"][0].update(note="x"),
     "not-an-object": lambda m: m.update(scenario=3),
     "bad-quarter": lambda m: m["scenario"].update(start="2015Q5"),
+    "start-not-text": lambda m: m["scenario"].update(start=2015),
     "mistyped-count": lambda m: m["scenario"].update(n_reports="many"),
     "zero-quarters": lambda m: m["scenario"].update(n_quarters=0),
+    "negative-label-lag": lambda m: m["scenario"].update(label_lag=-6),
+    "negative-groupmates": lambda m: m["scenario"]["clusters"][0].update(n_groupmates=-2),
 }
 
 

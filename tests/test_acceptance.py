@@ -9,6 +9,7 @@ these are the coarse go/no-go checks.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from icborrow import (
 from icborrow.borrow import reml_tau2
 from icborrow.cli import main as cli_main
 from icborrow.pipeline import METHOD_HLGT, METHOD_IC, METHOD_SSM
-from icborrow.synth import basic_scenario, concordant_scenario, null_scenario
+from icborrow.synth import PRESETS
 
 from conftest import load_similarity_csv, make_ontology
 from oracles import grid_mixture, grid_reml_tau2, random_dag, seco_ic, bfs_ancestors
@@ -190,7 +191,7 @@ def test_heterogeneity_estimate_against_grid():
 
 def test_group_borrowing_equals_forced_similarity(tmp_path):
     t0 = time.perf_counter()
-    generate(basic_scenario(seed=5), str(tmp_path))
+    generate(replace(PRESETS["basic"], seed=5), str(tmp_path))
     ontology = load_ontology(str(tmp_path / "ontology.tsv"))
     store = load_reports(str(tmp_path / "reports.tsv"), ontology)
 
@@ -276,7 +277,7 @@ def test_similarity_search_against_brute_force():
 
 
 def _concordant_seed_outcome(seed: int, workdir: str) -> tuple[bool, bool]:
-    scenario = concordant_scenario(seed=seed)
+    scenario = replace(PRESETS["concordant"], seed=seed)
     outdir = os.path.join(workdir, f"conc{seed}")
     generate(scenario, outdir)
     ontology = load_ontology(os.path.join(outdir, "ontology.tsv"))
@@ -322,7 +323,7 @@ def test_borrowing_direction_on_synthetic_scenarios(tmp_path):
     flagged = total = 0
     for seed in range(3):
         outdir = tmp_path / f"null{seed}"
-        generate(null_scenario(seed=seed), str(outdir))
+        generate(replace(PRESETS["null"], seed=seed), str(outdir))
         ontology = load_ontology(str(outdir / "ontology.tsv"))
         store = load_reports(str(outdir / "reports.tsv"), ontology)
         similarity = build_similarity(ontology)

@@ -76,7 +76,8 @@ def test_generate_verify(dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "kind", ["missing-key", "not-an-object", "mistyped-count", "zero-quarters"]
+    "kind",
+    ["missing-key", "unknown-key", "not-an-object", "mistyped-count", "zero-quarters"],
 )
 def test_generate_verify_malformed_manifest(dataset, tmp_path, capsys, kind):
     copy = tmp_path / "copy"

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,7 @@ from icborrow.evaluate import (
     write_metrics_csv,
     write_sweep_csv,
 )
-from icborrow.synth import basic_scenario, generate
+from icborrow.synth import PRESETS, generate
 
 Q = Quarter.parse
 
@@ -262,7 +263,7 @@ def test_bootstrap_deterministic():
 @pytest.fixture(scope="module")
 def sweep_inputs(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("sweep")
-    generate(basic_scenario(seed=3), str(outdir))
+    generate(replace(PRESETS["basic"], seed=3), str(outdir))
     store = load_reports(str(outdir / "reports.tsv"))
     entries = load_reference(str(outdir / "reference.tsv"))
     return store, entries

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from icborrow.synth import concordant_scenario, generate
+from icborrow.synth import PRESETS, generate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,7 +43,7 @@ COUNTS = (
 @pytest.fixture(scope="module")
 def concordant(tmp_path_factory):
     data = tmp_path_factory.mktemp("concordant")
-    generate(concordant_scenario(seed=4), str(data))
+    generate(replace(PRESETS["concordant"], seed=4), str(data))
     return data
 
 

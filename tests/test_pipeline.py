@@ -25,7 +25,7 @@ from icborrow.pipeline import (
     parse_config,
     write_results_csv,
 )
-from icborrow.synth import basic_scenario, concordant_scenario, generate
+from icborrow.synth import PRESETS, generate
 
 from conftest import make_store
 
@@ -35,7 +35,7 @@ Q = Quarter.parse
 @pytest.fixture(scope="module")
 def basic_run(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("basic")
-    generate(basic_scenario(seed=3), str(outdir))
+    generate(replace(PRESETS["basic"], seed=3), str(outdir))
     store = load_reports(str(outdir / "reports.tsv"))
     ontology = load_ontology(str(outdir / "ontology.tsv"))
     similarity = build_similarity(ontology)
@@ -50,7 +50,7 @@ def concordant_run(tmp_path_factory):
     pairs sit with their cluster siblings, so borrowing has real sources.
     """
     outdir = tmp_path_factory.mktemp("concordant")
-    manifest = generate(concordant_scenario(seed=7), str(outdir))
+    manifest = generate(replace(PRESETS["concordant"], seed=7), str(outdir))
     store = load_reports(str(outdir / "reports.tsv"))
     ontology = load_ontology(str(outdir / "ontology.tsv"))
     similarity = build_similarity(ontology)

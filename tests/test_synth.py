@@ -1,11 +1,12 @@
-import dataclasses
 import json
 import os
 import statistics
+from dataclasses import replace
 
 import pytest
 
 from icborrow import (
+    PRESETS,
     ClusterSpec,
     PlantedSignal,
     Quarter,
@@ -20,11 +21,7 @@ from icborrow import (
     verify_manifest,
 )
 from icborrow.synth import (
-    basic_scenario,
-    concordant_scenario,
-    discordant_scenario,
     drug_code,
-    null_scenario,
     pt_code,
     render,
     scenario_from_echo,
@@ -39,12 +36,12 @@ Q = Quarter.parse
 @pytest.fixture(scope="module")
 def basic_dir(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("synth_basic")
-    manifest = generate(basic_scenario(seed=7), str(outdir))
+    manifest = generate(replace(PRESETS["basic"], seed=7), str(outdir))
     return outdir, manifest
 
 
 def test_regeneration_is_byte_identical(tmp_path):
-    scenario = basic_scenario(seed=7)
+    scenario = replace(PRESETS["basic"], seed=7)
     a, b = tmp_path / "a", tmp_path / "b"
     generate(scenario, str(a))
     generate(scenario, str(b))
@@ -53,8 +50,8 @@ def test_regeneration_is_byte_identical(tmp_path):
 
 
 def test_seeds_change_reports_not_structure(tmp_path):
-    files7, _ = render(basic_scenario(seed=7))
-    files8, _ = render(basic_scenario(seed=8))
+    files7, _ = render(replace(PRESETS["basic"], seed=7))
+    files8, _ = render(replace(PRESETS["basic"], seed=8))
     assert files7["reports.tsv"] != files8["reports.tsv"]
     assert files7["ontology.tsv"] == files8["ontology.tsv"]
     assert files7["reference.tsv"] == files8["reference.tsv"]
@@ -67,7 +64,7 @@ def test_verify_manifest_round_trip(basic_dir):
 
 def test_verify_manifest_catches_edits(tmp_path):
     outdir = tmp_path / "edited"
-    generate(basic_scenario(seed=7), str(outdir))
+    generate(replace(PRESETS["basic"], seed=7), str(outdir))
     path = outdir / "reports.tsv"
     lines = path.read_text().splitlines()
     lines[5] = lines[5].replace("\tD0", "\tD1", 1)
@@ -82,7 +79,7 @@ def test_verify_manifest_requires_manifest(tmp_path):
 @pytest.mark.parametrize("kind", sorted(MALFORMED_ECHOES))
 def test_verify_manifest_rejects_malformed_scenario(tmp_path, caplog, kind):
     outdir = tmp_path / kind
-    generate(basic_scenario(seed=7), str(outdir))
+    generate(replace(PRESETS["basic"], seed=7), str(outdir))
     break_scenario_echo(outdir, MALFORMED_ECHOES[kind])
     assert not verify_manifest(str(outdir))
     assert "cannot regenerate the scenario" in caplog.text
@@ -95,9 +92,7 @@ def test_verify_manifest_rejects_text_that_is_not_json(tmp_path, caplog):
 
 
 def test_verify_manifest_empty_scenario(tmp_path):
-    empty = dataclasses.replace(
-        basic_scenario(seed=1), name="empty", n_reports=0, planted=()
-    )
+    empty = replace(PRESETS["basic"], seed=1, name="empty", n_reports=0, planted=())
     outdir = tmp_path / "empty"
     manifest = generate(empty, str(outdir))
     assert manifest["totals"]["reports"] == 0
@@ -144,25 +139,27 @@ def test_designed_ssm_matches_built_similarity(basic_dir):
 
 
 def test_infeasible_similarity_target_names_requirement():
-    scenario = basic_scenario(
-        n_pts=10, clusters=(ClusterSpec("concordant", size=6, target_ssm=0.9),)
+    scenario = replace(
+        PRESETS["basic"],
+        n_pts=10,
+        clusters=(ClusterSpec("concordant", size=6, target_ssm=0.9),),
     )
     with pytest.raises(ValidationError, match="concepts"):
         render(scenario)
 
 
 def test_reference_composition():
-    _, concordant = render(concordant_scenario(seed=1))
+    _, concordant = render(replace(PRESETS["concordant"], seed=1))
     assert concordant["totals"]["positives"] == 5
     assert concordant["totals"]["negatives"] == 10  # one planted drug
 
-    _, null = render(null_scenario(seed=1))
+    _, null = render(replace(PRESETS["null"], seed=1))
     assert null["totals"]["positives"] == 0
     assert null["totals"]["negatives"] == 40  # all four drugs
 
 
 def test_positive_labels_trail_onset():
-    scenario = concordant_scenario(seed=1)
+    scenario = replace(PRESETS["concordant"], seed=1)
     _, manifest = render(scenario)
     for p in manifest["positives"]:
         assert Q(p["label_quarter"]) == scenario.start + (2 + scenario.label_lag)
@@ -170,14 +167,14 @@ def test_positive_labels_trail_onset():
 
 def test_negatives_avoid_positive_hlts(tmp_path):
     outdir = tmp_path / "conc"
-    generate(concordant_scenario(seed=2), str(outdir))
+    generate(replace(PRESETS["concordant"], seed=2), str(outdir))
     ontology = load_ontology(str(outdir / "ontology.tsv"))
     entries = load_reference(str(outdir / "reference.tsv"))
     assert check_negative_controls(entries, ontology) == []
 
 
 def test_discordant_layout():
-    scenario = discordant_scenario(seed=0)
+    scenario = replace(PRESETS["discordant"], seed=0)
     _, manifest = render(scenario)
     (members,) = manifest["cluster_members"]
     (mates,) = manifest["groupmates"]
@@ -197,9 +194,26 @@ def test_planted_pair_is_elevated(basic_dir):
     assert table.observed_expected() > 2.0
 
 
-def test_scenario_echo_round_trip():
-    scenario = discordant_scenario(seed=5)
-    assert scenario_from_echo(_scenario_echo(scenario)) == scenario
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_scenario_echo_round_trip(name):
+    scenario = replace(PRESETS[name], seed=5)
+    echo = json.loads(json.dumps(_scenario_echo(scenario)))
+    assert scenario_from_echo(echo) == scenario
+
+
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("label_lag", {"label_lag": -6}),
+        (
+            "n_groupmates",
+            {"clusters": (ClusterSpec("discordant", size=5, n_groupmates=-2),)},
+        ),
+    ],
+)
+def test_negative_scenario_fields_are_rejected_by_name(field, overrides):
+    with pytest.raises(ValidationError, match=field):
+        render(replace(PRESETS["discordant"], **overrides))
 
 
 @pytest.mark.parametrize(
@@ -208,11 +222,12 @@ def test_scenario_echo_round_trip():
         {"planted": (PlantedSignal("D999", "PT0000", 2.0, 0),)},
         {"planted": (PlantedSignal("D000", "PT0000", 0.5, 0),)},
         {"planted": (PlantedSignal("D000", "PT0000", 2.0, 99),)},
+        {"planted": (PlantedSignal("D000", "PT0000", 2.0, 1.5),)},
     ],
 )
 def test_planting_validation(overrides):
     with pytest.raises(ValidationError):
-        render(basic_scenario(**overrides))
+        render(replace(PRESETS["basic"], **overrides))
 
 
 @pytest.mark.parametrize(
@@ -225,7 +240,7 @@ def test_planting_validation(overrides):
 )
 def test_cluster_validation(clusters):
     with pytest.raises(ValidationError):
-        render(basic_scenario(clusters=clusters))
+        render(replace(PRESETS["basic"], clusters=clusters))
 
 
 def test_manifest_digests_match_files(basic_dir):
@@ -257,7 +272,7 @@ def test_null_scenario_keeps_plain_ic_quiet(tmp_path):
     oes = []
     for seed in range(20):
         outdir = tmp_path / f"null{seed}"
-        generate(null_scenario(seed=seed), str(outdir))
+        generate(replace(PRESETS["null"], seed=seed), str(outdir))
         store = load_reports(str(outdir / "reports.tsv"))
         cfg = RunConfig(methods=(METHOD_IC,), n_samples=2_000, seed=seed)
         ctx = RunContext(store, cfg)
