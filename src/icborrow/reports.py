@@ -24,6 +24,16 @@ log = logging.getLogger(__name__)
 _BLOCK_CHARS = 1 << 15
 
 
+def _index_dtype(n: int) -> np.dtype:
+    """int32 for arrays of values below ``n`` when ``n`` < 2**31, else int64.
+
+    Record numbers, code numbers, per-record counts and positions among
+    the code incidences are all below the number of records, codes or
+    incidences, so arrays of them narrow to int32 under this bound.
+    """
+    return np.dtype(np.int32 if n < 1 << 31 else np.int64)
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
     """Counts for one (drug, event) pair: a=both, b=drug only, c=event only, d=rest."""
@@ -64,7 +74,8 @@ class _Columns:
     Drug and event codes are numbered on first sight. Per record it keeps
     the quarter ordinal and how many distinct drugs and events the report
     names; ``drugs`` and ``events`` hold the codes themselves in record
-    order.
+    order. Any integer dtype will do: the store casts each column to its
+    own index dtype as it takes it.
     """
 
     drug_codes: dict[str, int]
@@ -75,13 +86,19 @@ class _Columns:
     drugs: np.ndarray
     events: np.ndarray
 
+    def take(self, name: str, dtype: np.dtype) -> np.ndarray:
+        """Column ``name`` as ``dtype``; the columns no longer hold it."""
+        return vars(self).pop(name).astype(dtype, copy=False)
 
-def _sorted_codes(codes: dict[str, int]) -> tuple[list[str], np.ndarray]:
+
+def _sorted_codes(
+    codes: dict[str, int], dtype: np.dtype
+) -> tuple[list[str], np.ndarray]:
     """Names in sorted order, and the map from first-sight code to sorted rank."""
     names = list(codes)  # first-sight order is code order
     order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[order] = np.arange(len(names), dtype=np.int64)
+    rank = np.empty(len(names), dtype=dtype)
+    rank[order] = np.arange(len(names), dtype=dtype)
     return [names[i] for i in order], rank
 
 
@@ -89,43 +106,78 @@ def _cumulative(
     keys: np.ndarray, quarter_idx: np.ndarray, n_keys: int, n_q: int
 ) -> np.ndarray:
     """[n_keys, n_q] counts of (key, quarter) incidences, cumulative over quarters."""
-    counts = np.bincount(keys * n_q + quarter_idx, minlength=n_keys * n_q)
-    counts = counts.reshape(n_keys, n_q)
+    flat = np.multiply(keys, n_q, dtype=np.int64)  # n_keys * n_q may pass 2**31
+    flat += quarter_idx
+    counts = np.bincount(flat, minlength=n_keys * n_q).reshape(n_keys, n_q)
     return np.cumsum(counts, axis=1, out=counts)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in ``values``, as a mask."""
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted. np.unique would do, but its first call
+    imports numpy.ma: 1.3 MB resident and about 10 ms under numpy 2.4."""
+    values = np.sort(values)
+    return values[_run_starts(values)]
 
 
 def _alive_codes(
     codes: np.ndarray, per_record: np.ndarray, rank: np.ndarray, alive: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Record and sorted rank of each code of the alive records, in record order."""
-    rec = np.repeat(np.arange(len(per_record)), per_record)
+    rec = np.repeat(np.arange(len(per_record), dtype=per_record.dtype), per_record)
     keep = alive[rec]
-    return rec[keep], rank[codes[keep]]
+    rec = rec[keep]  # the unfiltered records are freed before the codes are read
+    return rec, rank[codes[keep]]
+
+
+def _pair_events(
+    e_rec: np.ndarray, e_code: np.ndarray, d_rec: np.ndarray, reps: np.ndarray
+) -> np.ndarray:
+    """Event rank of every (record, drug, event): for each drug incidence
+    in turn, the ``reps`` events of its record in record order.
+
+    The events of drug incidence i's record start at
+    ``e_rec.searchsorted(d_rec[i])`` and its pairs at the sum of the
+    ``reps`` before it, so each pair reads the event at its own position
+    shifted by the difference of the two.
+    """
+    n = int(reps.sum())
+    dtype = _index_dtype(max(n, len(e_rec)))
+    shift = np.cumsum(reps, dtype=dtype)
+    shift -= reps
+    # Shifts lie in (-n, len(e_rec)], so they fit ``dtype``.
+    np.subtract(e_rec.searchsorted(d_rec), shift, out=shift, casting="unsafe")
+    at = np.repeat(shift, reps)
+    del shift
+    at += np.arange(n, dtype=dtype)
+    return e_code[at]
 
 
 def _pair_quarter_keys(
-    d_rec: np.ndarray,
     d_code: np.ndarray,
-    e_rec: np.ndarray,
-    e_code: np.ndarray,
-    n_events: np.ndarray,
-    rec_qi: np.ndarray,
+    pair_event: np.ndarray,
+    d_qi: np.ndarray,
+    reps: np.ndarray,
     n_e: int,
     n_q: int,
 ) -> np.ndarray:
     """``(drug * n_e + event) * n_q + quarter index`` of every (record, drug,
-    event) of the records in ``d_rec`` and ``e_rec``.
+    event): drug incidence ``i`` with its quarter index ``d_qi[i]`` pairs
+    with the next ``reps[i]`` events of ``pair_event``.
 
-    Each drug incidence repeats once per event of its record: the record's
-    events start at ``e_rec.searchsorted(record)`` and ``within`` runs
-    0..k-1 over its k events.
+    The keys are int64, so no product of ranks may overflow.
     """
-    reps = n_events[d_rec]
-    within = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
-    key = np.repeat(d_code, reps) * n_e
-    key += e_code[np.repeat(e_rec.searchsorted(d_rec), reps) + within]
+    key = np.multiply(np.repeat(d_code, reps), n_e, dtype=np.int64)
+    key += pair_event
     key *= n_q
-    key += rec_qi[np.repeat(d_rec, reps)]
+    key += np.repeat(d_qi, reps)
     return key
 
 
@@ -140,47 +192,84 @@ class ReportStore:
     their memory grows with what was reported, not with pairs × quarters.
     A contingency table at any cutoff is a few lookups. Built by
     ``load_reports``, which counts the records whose alive flag is set.
+
+    Every array the store keeps is int64: the counts, the keys
+    ``(drug * n_events + event) * n_quarters + quarter index`` and the
+    pairs' positions among them, 16 bytes per (pair, quarter) incidence
+    and 16 per pair: about 27 bytes a report on 150k reports of one drug
+    and one event each. While it is built, every array indexed by record
+    or by code incidence (record numbers, code ranks, quarter indexes,
+    per-record counts) is int32 when the records, the codes and the code
+    incidences are each below 2**31, and int64 otherwise. The columns are
+    spent by the constructor: each one is dropped once it is read.
     """
 
     def __init__(self, cols: _Columns, alive: np.ndarray, warnings: list[str]):
         self.load_warnings = warnings
-        rec_q, n_drugs, n_events = cols.quarter, cols.n_drugs, cols.n_events
-        self._drug_names, drug_rank = _sorted_codes(cols.drug_codes)
-        self._event_names, event_rank = _sorted_codes(cols.event_codes)
+        n_d, n_e = len(cols.drug_codes), len(cols.event_codes)
+        idx = _index_dtype(
+            max(len(cols.quarter), len(cols.drugs), len(cols.events), n_d, n_e)
+        )
+        self._drug_names, drug_rank = _sorted_codes(cols.drug_codes, idx)
+        self._event_names, event_rank = _sorted_codes(cols.event_codes, idx)
         self._drug_index = {d: i for i, d in enumerate(self._drug_names)}
         self._event_index = {e: i for i, e in enumerate(self._event_names)}
-        n_d, n_e = len(self._drug_names), len(self._event_names)
 
-        ordinals = np.unique(rec_q[alive])
+        rec_q = cols.take("quarter", idx)
+        ordinals = _distinct(rec_q[alive])
         self._ordinals = ordinals.tolist()
         self._quarters = [Quarter.from_ordinal(o) for o in self._ordinals]
         n_q = len(self._ordinals)
-        rec_qi = np.searchsorted(ordinals, rec_q)
+        rec_qi = np.searchsorted(ordinals, rec_q).astype(idx)
+        del rec_q
         self._n = np.bincount(rec_qi[alive], minlength=n_q).cumsum()
         self._n_reports = int(alive.sum())
 
-        # One row per (record, code) incidence of the alive records.
-        d_rec, d_code = _alive_codes(cols.drugs, n_drugs, drug_rank, alive)
-        e_rec, e_code = _alive_codes(cols.events, n_events, event_rank, alive)
-        self._drug = _cumulative(d_code, rec_qi[d_rec], n_d, n_q)
-        self._event = _cumulative(e_code, rec_qi[e_rec], n_e, n_q)
-        keys = _pair_quarter_keys(
-            d_rec, d_code, e_rec, e_code, n_events, rec_qi, n_e, n_q
+        # One row per (record, code) incidence of the alive records. Each
+        # array is dropped after its last reader: together they set the
+        # load's peak.
+        d_rec, d_code = _alive_codes(
+            cols.take("drugs", idx), cols.take("n_drugs", idx), drug_rank, alive
         )
-        del d_rec, d_code, e_rec, e_code  # free them before the sort, the load's peak
+        n_events = cols.take("n_events", idx)
+        e_rec, e_code = _alive_codes(
+            cols.take("events", idx), n_events, event_rank, alive
+        )
+        reps = n_events[d_rec]  # events paired with each drug incidence
+        del n_events
+        d_qi = rec_qi[d_rec]
+        self._drug = _cumulative(d_code, d_qi, n_d, n_q)
+        self._event = _cumulative(e_code, rec_qi[e_rec], n_e, n_q)
+        del rec_qi
+        pair_event = _pair_events(e_rec, e_code, d_rec, reps)
+        del e_rec, e_code, d_rec
+        keys = _pair_quarter_keys(d_code, pair_event, d_qi, reps, n_e, n_q)
+        del d_code, pair_event, d_qi, reps
 
         # One sorted key per (pair, quarter) incidence; a pair's keys form one
-        # run, and each key carries the pair's count up to its quarter.
-        self._inc, counts = np.unique(keys, return_counts=True)
-        del keys  # kept alive, it put the large-history run's peak 2.6 MB higher
+        # run, and each key carries the pair's count up to its quarter. The
+        # keys are sorted in place, where np.unique would sort a copy.
+        keys.sort()
+        n_keys = len(keys)
+        first = _run_starts(keys)
+        self._inc = keys[first]
+        end = np.flatnonzero(first)  # each distinct key's first position
+        del keys, first
         pair = self._inc // n_q
-        self._pair_start = np.flatnonzero(np.diff(pair, prepend=-1))
+        pair_first = _run_starts(pair)
+        self._pair_start = np.flatnonzero(pair_first)
         self._pair_keys = pair[self._pair_start]
-        run_total = np.cumsum(counts)
-        before = run_total[self._pair_start] - counts[self._pair_start]
-        self._inc_count = run_total - np.repeat(
-            before, np.diff(self._pair_start, append=len(pair))
-        )
+        del pair
+        # A key's count: the end of its run less the start of its pair's
+        # first run. Positions grow, so a running maximum carries each
+        # pair's start over its keys.
+        start = np.where(pair_first, end, 0)
+        del pair_first
+        np.maximum.accumulate(start, out=start)
+        end[:-1] = end[1:]
+        end[-1:] = n_keys
+        end -= start
+        self._inc_count = end
 
     def __len__(self) -> int:
         return self._n_reports
@@ -257,7 +346,15 @@ def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
     text at a time, however long the file is. Each row is kept as integer
     columns and its report id as UTF-8 bytes, not as a Python object: ids
     of one length share a bytes array that wide, and duplicates are found
-    by one sort per length.
+    by one sort per length. The columns are int32 (the quarter ordinal,
+    the line number and the drug and event counts of each row, and one
+    number per code it names) while the records, the codes and the code
+    incidences are each below 2**31, and int64 otherwise; the keys of the
+    store are int64 whatever the sizes. A report of one drug and one event
+    with an 8-character id holds 34 bytes until the store is built: 24 of
+    integers, 9 of id and tab and 1 of id length. The load's traced peak,
+    the returned store included, is about 54 B a report on 150k such
+    reports.
     """
     loader = _BlockLoader(path)
     with open(path, encoding="utf-8") as fh:
@@ -279,17 +376,18 @@ class _BlockLoader:
         # length of each record's id.
         self.ids: dict[int, list[np.ndarray]] = {}
         self.id_widths: list[np.ndarray] = [np.zeros(0, dtype=np.uint8)]
-        self.record_line = array("q")  # record index -> physical line number
+        self.record_line = array("i")  # record index -> physical line number
         self.warnings: list[str] = []
-        empty = np.zeros(0, dtype=np.int64)
-        # Per block: quarter, n_drugs, n_events, drugs, events.
-        self.blocks: list[tuple[np.ndarray, ...]] = [(empty,) * 5]
+        # Per column (quarter, n_drugs, n_events, drugs, events), its blocks.
+        self.columns = tuple([np.zeros(0, dtype=np.int32)] for _ in range(5))
         self.lines_read = 0
 
     def add(self, lines: list[str]) -> None:
         """Parse the next lines of the file; raise on the first bad row."""
         first_line = self.lines_read + 1
         self.lines_read += len(lines)
+        if self.lines_read >= 1 << 31 and self.record_line.typecode == "i":
+            self.record_line = array("q", self.record_line)
         linenos = [
             no
             for no, raw in enumerate(lines, first_line)
@@ -312,7 +410,8 @@ class _BlockLoader:
             raise ValidationError(f"{self.path}:{linenos[bad]}: {msg}")
         ids, columns = parsed
         self._add_ids(ids)
-        self.blocks.append(columns)
+        for blocks, column in zip(self.columns, columns):
+            blocks.append(column)
 
     def _parse(self, rows: list[str]) -> tuple[list[str], tuple] | None:
         """The report ids and columns of rows ending in newlines, or None
@@ -343,8 +442,9 @@ class _BlockLoader:
         )
         if not (n_drugs.all() and n_events.all()):
             return None
+        # Ordinals of 4-digit years are below 40000.
         quarter = np.fromiter(
-            map(memo.__getitem__, quarter_texts), dtype=np.int64, count=n
+            map(memo.__getitem__, quarter_texts), dtype=np.int32, count=n
         )
         return ids, (quarter, n_drugs, n_events, drugs, events)
 
@@ -368,26 +468,25 @@ class _BlockLoader:
     def _replaced(self) -> np.ndarray:
         """The records whose id a later record reuses, warning of each
         replacement in file order; the ids are spent after it."""
-        # The records by id length, in file order within a length: the
-        # order in which ``self.ids`` holds them. Only ids of one length can
-        # match, so each length is sorted alone and no id is padded.
-        by_width = np.argsort(np.concatenate(self.id_widths), kind="stable")
+        # Only ids of one length can match, so each length is sorted alone
+        # and no id is padded.
+        widths = np.concatenate(self.id_widths)
         found = []  # (record, the record it replaces, id)
-        start = 0
         for width in sorted(self.ids):
             ids = np.concatenate(self.ids.pop(width))
-            records = by_width[start : start + len(ids)]
-            start += len(ids)
             # A stable sort keeps each id's records in file order, so every
             # record is replaced by the next one in its run.
             order = np.argsort(ids, kind="stable")
-            in_order = ids[order]
-            same = np.flatnonzero(in_order[1:] == in_order[:-1])
-            found += zip(
-                records[order[same + 1]].tolist(),
-                records[order[same]].tolist(),
-                in_order[same].tolist(),
-            )
+            ids = ids[order]
+            same = np.flatnonzero(ids[1:] == ids[:-1])
+            if len(same):
+                # The records of this length in file order, as ``ids`` held them.
+                records = np.flatnonzero(widths == width)
+                found += zip(
+                    records[order[same + 1]].tolist(),
+                    records[order[same]].tolist(),
+                    ids[same].tolist(),
+                )
         del self.ids, self.id_widths
         found.sort()
         record_line = self.record_line
@@ -411,10 +510,17 @@ class _BlockLoader:
         alive = np.ones(len(self.record_line), dtype=bool)
         alive[replaced] = False
         del replaced, self.record_line
-        columns = [np.concatenate(col) for col in zip(*self.blocks)]
-        del self.blocks
-        cols = _Columns(self.drug_codes, self.event_codes, *columns)
+        # One column at a time, each one's blocks freed once it is joined.
+        cols = _Columns(self.drug_codes, self.event_codes, *map(_joined, self.columns))
+        del self.columns
         return ReportStore(cols, alive, self.warnings)
+
+
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    """The blocks as one array; the list is emptied."""
+    whole = np.concatenate(blocks)
+    blocks.clear()
+    return whole
 
 
 def _code_column(
@@ -435,24 +541,24 @@ def _code_column(
         for name in dict.fromkeys(names):
             if name in new:
                 codes[name] = len(codes)
-    code = np.fromiter(
-        map(codes.get, names, repeat(-1)), dtype=np.int64, count=len(names)
-    )
+    dtype = _index_dtype(max(len(codes), len(names)))
+    code = np.fromiter(map(codes.get, names, repeat(-1)), dtype=dtype, count=len(names))
     if len(names) == len(fields):  # one code per row: nothing repeats
-        per_row = np.ones(len(fields), dtype=np.int64)
+        per_row = np.ones(len(fields), dtype=dtype)
         if code.min() >= 0:
             return code, per_row
     else:
         per_row = np.fromiter(
-            map(str.count, fields, repeat(";")), dtype=np.int64, count=len(fields)
+            map(str.count, fields, repeat(";")), dtype=dtype, count=len(fields)
         )
         per_row += 1
     # One key per (row, code), with empty codes (-1) at 0 within their row.
     width = len(codes) + 1
     row = np.repeat(np.arange(len(fields), dtype=np.int64), per_row)
-    key = np.unique(row * width + code + 1)
+    key = _distinct(row * width + code + 1)
     key = key[key % width != 0]
-    return key % width - 1, np.bincount(key // width, minlength=len(fields))
+    per_row = np.bincount(key // width, minlength=len(fields))
+    return (key % width - 1).astype(dtype), per_row.astype(dtype)
 
 
 def _first_bad_row(rows: list[str]) -> tuple[int, str]:

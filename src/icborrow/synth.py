@@ -123,6 +123,11 @@ def _layout(s: Scenario) -> Layout:
             raise ValidationError(
                 f"cluster n_groupmates must be an integer >= 0, got {c.n_groupmates!r}"
             )
+        # A NaN target would pass the similarity check below vacuously.
+        if not (isinstance(c.target_ssm, (int, float)) and 0.0 < c.target_ssm < 1.0):
+            raise ValidationError(
+                f"cluster target_ssm must be a number in (0, 1), got {c.target_ssm!r}"
+            )
         members.append([pt_code(offset + j) for j in range(c.size)])
         offset += c.size
     background = [pt_code(i) for i in range(offset, s.n_pts)]

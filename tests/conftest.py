@@ -129,6 +129,9 @@ MALFORMED_ECHOES = {
     "zero-quarters": lambda m: m["scenario"].update(n_quarters=0),
     "negative-label-lag": lambda m: m["scenario"].update(label_lag=-6),
     "negative-groupmates": lambda m: m["scenario"]["clusters"][0].update(n_groupmates=-2),
+    "nan-target-ssm": lambda m: m["scenario"]["clusters"][0].update(
+        target_ssm=float("nan")
+    ),
 }
 
 

@@ -11,7 +11,9 @@ each quarter, shuffled with a fixed seed, are folded into reports of 1 to
 4 rows each, so a report names several drugs and events, with repeats, and
 every 50th report reuses the id of an earlier one. Both loaders must build
 the same store from each file. Prints the best of ``--repeats`` loads per
-loader and file.
+loader and file, and the peak of the memory each loader allocates while it
+loads the file once more under ``tracemalloc``, in MB and in bytes per
+report.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import logging
 import os
 import tempfile
 import time
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
-from oracles import load_reports_by_line
+from oracles import load_reports_by_line, store_state
 
 from icborrow.reports import load_reports
 
@@ -64,12 +67,14 @@ def _best(loader, path: str, repeats: int):
     return min(times), store
 
 
-def _state(store) -> dict:
-    """Every attribute of a store, arrays as their dtype and values."""
-    return {
-        name: (value.dtype, value.tolist()) if isinstance(value, np.ndarray) else value
-        for name, value in vars(store).items()
-    }
+def _traced_peak(loader, path: str) -> int:
+    """Peak bytes allocated while ``loader`` loads ``path``, the store included."""
+    tracemalloc.start()
+    try:
+        loader(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> None:
@@ -84,7 +89,7 @@ def main() -> None:
         for label, path in (("as given", args.reports), ("multi-code", folded)):
             t_block, block = _best(load_reports, path, args.repeats)
             t_line, line = _best(load_reports_by_line, path, args.repeats)
-            if _state(block) != _state(line):
+            if store_state(block) != store_state(line):
                 raise SystemExit(f"{label}: the loaders disagree")
             print(
                 f"{label:10s} reports={len(block):7d} "
@@ -92,6 +97,13 @@ def main() -> None:
                 f"load_reports={t_block:.3f}s by_line={t_line:.3f}s "
                 f"ratio={t_block / t_line:.2f}"
             )
+            for name, loader in (("load_reports", load_reports),
+                                 ("by_line", load_reports_by_line)):
+                peak = _traced_peak(loader, path)
+                print(
+                    f"{label:10s} {name} peak={peak / 1e6:.2f}MB "
+                    f"({peak / max(len(block), 1):.0f} B/report)"
+                )
 
 
 if __name__ == "__main__":

@@ -167,6 +167,15 @@ def load_reports_by_line(path: str, ontology=None) -> ReportStore:
     ]
     return ReportStore(_Columns(drug_codes, event_codes, *ints), alive, warnings)
 
+
+def store_state(store: ReportStore) -> dict:
+    """Every attribute of a store, arrays as their dtype and values: what
+    two loaders must agree on."""
+    return {
+        name: (value.dtype, value.tolist()) if isinstance(value, np.ndarray) else value
+        for name, value in vars(store).items()
+    }
+
 # -- information component --------------------------------------------------------
 
 

@@ -77,7 +77,14 @@ def test_generate_verify(dataset, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "kind",
-    ["missing-key", "unknown-key", "not-an-object", "mistyped-count", "zero-quarters"],
+    [
+        "missing-key",
+        "unknown-key",
+        "not-an-object",
+        "mistyped-count",
+        "zero-quarters",
+        "nan-target-ssm",
+    ],
 )
 def test_generate_verify_malformed_manifest(dataset, tmp_path, capsys, kind):
     copy = tmp_path / "copy"

@@ -209,6 +209,10 @@ def test_scenario_echo_round_trip(name):
             "n_groupmates",
             {"clusters": (ClusterSpec("discordant", size=5, n_groupmates=-2),)},
         ),
+        *(
+            ("target_ssm", {"clusters": (ClusterSpec("discordant", 5, t),)})
+            for t in (float("nan"), float("inf"), 0.0, 1.0)
+        ),
     ],
 )
 def test_negative_scenario_fields_are_rejected_by_name(field, overrides):
