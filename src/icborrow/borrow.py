@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -227,6 +228,12 @@ def random_effects_map(
 MAX_SSM = "max_ssm"
 
 
+def vague_sd_in_range(sd: float) -> bool:
+    """True when sd > 0 and sd**2 is a finite normal float, so the vague
+    component's variance and precision are both finite and nonzero."""
+    return sd > 0.0 and sys.float_info.min <= sd * sd <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class RobustPrior:
     """w * N(mu, v) + (1 - w) * N(0, vague_sd^2)."""
@@ -239,8 +246,8 @@ class RobustPrior:
     def __post_init__(self) -> None:
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"mixture weight must be in [0, 1], got {self.w}")
-        if self.vague_sd <= 0.0 or self.v <= 0.0:
-            raise ValueError("prior variances must be positive")
+        if self.v <= 0.0 or not vague_sd_in_range(self.vague_sd):
+            raise ValueError("prior variances must be positive and vague_sd**2 normal")
 
 
 @dataclass(frozen=True)
@@ -286,7 +293,10 @@ def mixture_posterior(
         log_m1 = _log_norm_pdf(ic_target, prior.mu, prior.v + vic_target)
         log_m2 = _log_norm_pdf(ic_target, 0.0, vague_var + vic_target)
         log_odds = math.log(prior.w) - math.log1p(-prior.w) + log_m1 - log_m2
-        w_tilde = 1.0 / (1.0 + math.exp(-log_odds))
+        try:
+            w_tilde = 1.0 / (1.0 + math.exp(-log_odds))
+        except OverflowError:  # log_odds below about -709.8
+            w_tilde = math.exp(log_odds)
     pme = w_tilde * mean_1 + (1.0 - w_tilde) * mean_2
     second = w_tilde * (var_1 + mean_1**2) + (1.0 - w_tilde) * (var_2 + mean_2**2)
     variance = second - pme**2

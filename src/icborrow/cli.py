@@ -21,6 +21,7 @@ from ._version import __version__
 from .errors import NumericalError, ValidationError
 from .evaluate import (
     MIN_BOOTSTRAP_ITER,
+    SWEEP_PARAMS,
     bootstrap,
     check_negative_controls,
     compare_methods,
@@ -39,7 +40,6 @@ from .pipeline import (
     CONFIG_SCHEMA,
     METHOD_HLGT,
     METHOD_SSM,
-    METHODS,
     QuarterlyRun,
     RunConfig,
     RunContext,
@@ -305,6 +305,8 @@ def _parse_grid(items: list[str]) -> dict[str, list]:
             raise ValidationError(f"bad --grid {item!r}, expected key=v1,v2,...")
         key, _, values = item.partition("=")
         key = key.strip()
+        if key in grid:
+            raise ValidationError(f"--grid names {key!r} twice")
         grid[key] = [parse_config_value(key, tok.strip()) for tok in values.split(",")]
     return grid
 
@@ -327,13 +329,16 @@ def _cmd_sweep(args: argparse.Namespace, config: RunConfig, outdir: str) -> None
     write_sweep_csv(rows, os.path.join(outdir, "sweep.csv"))
 
 
+# Scenario fields that generate takes as flags (--n-drugs for n_drugs).
+_SIZES = ("n_drugs", "n_pts", "n_reports", "n_quarters", "negatives_per_drug")
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.verify:
         ok = verify_manifest(args.verify)
         print(json.dumps({"verified": ok, "dir": args.verify}))
         return 0 if ok else 2
-    sizes = ("n_drugs", "n_pts", "n_reports", "n_quarters", "negatives_per_drug")
-    overrides = {f: getattr(args, f) for f in sizes if getattr(args, f) is not None}
+    overrides = {f: getattr(args, f) for f in _SIZES if getattr(args, f) is not None}
     scenario = dataclasses.replace(PRESETS[args.preset], seed=args.seed, **overrides)
     manifest = generate(scenario, args.out)
     print(
@@ -350,31 +355,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--methods", help=f"comma list from {{{','.join(METHODS)}}}")
-    p.add_argument("--min-ssm", dest="min_ssm", help="similarity cutoff")
-    p.add_argument("--w", help="informative-prior weight: max_ssm or a number")
-    p.add_argument("--vague-sd", dest="vague_sd",
-                   help="vague component standard deviation")
-    p.add_argument("--effects", help="pooling model for the borrow prior: "
-                   "random or fixed")
-    p.add_argument("--include-target-in-reml", dest="include_target_in_reml",
-                   action="store_const", const="true", default=None,
-                   help="let the target pair inform the heterogeneity estimate")
-    p.add_argument("--threshold", help="signal threshold on ci_low")
-    p.add_argument("--n-samples", dest="n_samples",
-                   help="Monte Carlo draws per pair")
-    p.add_argument("--seed", help="run seed")
-    p.add_argument("--min-a", dest="min_a",
-                   help="minimum joint count for screening")
-    p.add_argument("--threads", help="worker threads")
-    p.add_argument("--start", help="first cutoff quarter (YYYYQn)")
-    p.add_argument("--end", help="last cutoff quarter (YYYYQn)")
-    p.add_argument("--drug-filter", dest="drug_filter",
-                   help="file listing drug codes to screen (one per line)")
-    p.add_argument("--non-strict", dest="non_strict", action="store_true",
-                   help="count alerts landing on the label quarter as hits")
+    for key, (_, _, text) in CONFIG_SCHEMA.items():
+        if key == "include_target_in_reml":  # a switch: present means true
+            p.add_argument(_flag(key), action="store_const", const="true", help=text)
+        else:
+            p.add_argument(_flag(key), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,6 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "validate":
             p.add_argument("--out", required=True)
             _add_config_flags(p)
+        if name not in ("validate", "run"):
+            p.add_argument("--non-strict", action="store_true",
+                           help="count alerts landing on the label quarter as hits")
         p.set_defaults(func=func)
     sub.choices["evaluate"].add_argument(
         "--bootstrap", type=int, default=0,
@@ -410,19 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.choices["sweep"].add_argument(
         "--grid", action="append", default=[],
-        help="axis as key=v1,v2,... (repeatable); keys: min_ssm, w, vague_sd, "
-        "threshold",
+        help=f"axis as key=v1,v2,... (repeatable); keys: {', '.join(SWEEP_PARAMS)}",
     )
 
     p = sub.add_parser("generate", help="emit a synthetic data set")
     p.add_argument("--preset", choices=sorted(PRESETS), default="basic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="synthetic")
-    p.add_argument("--n-drugs", dest="n_drugs", type=int)
-    p.add_argument("--n-pts", dest="n_pts", type=int)
-    p.add_argument("--n-reports", dest="n_reports", type=int)
-    p.add_argument("--n-quarters", dest="n_quarters", type=int)
-    p.add_argument("--negatives-per-drug", dest="negatives_per_drug", type=int)
+    for size in _SIZES:
+        p.add_argument(_flag(size), type=int)
     p.add_argument("--verify", metavar="DIR",
                    help="instead of generating, re-derive DIR from its "
                    "manifest and verify it matches")
@@ -439,12 +429,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, ValueError) as exc:
         return _fail(2, exc)
     except NumericalError as exc:
         return _fail(3, exc)
-    except ValueError as exc:
-        return _fail(2, exc)
     except OSError as exc:
         return _fail(1, exc)
 

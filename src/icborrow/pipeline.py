@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ._version import __version__
-from .borrow import FIXED_EFFECTS, MAX_SSM, RANDOM_EFFECTS, BorrowSource, borrow
+from .borrow import (FIXED_EFFECTS, MAX_SSM, RANDOM_EFFECTS, BorrowSource, borrow,
+                     vague_sd_in_range)
 from .errors import ValidationError
 from .ic import IcPosterior, posterior_ic, signal_flag
 from .ontology import Ontology, SimilarityMatrix
@@ -80,8 +81,11 @@ class RunConfig:
             raise ValidationError(f"n_samples must be >= 1000, got {self.n_samples}")
         if not 0.0 <= self.min_ssm <= 1.0:
             raise ValidationError(f"min_ssm must be in [0, 1], got {self.min_ssm}")
-        if not self.vague_sd > 0.0:
-            raise ValidationError(f"vague_sd must be positive, got {self.vague_sd}")
+        if not vague_sd_in_range(self.vague_sd):
+            raise ValidationError(f"vague_sd must be positive with a normal float "
+                                  f"square, got {self.vague_sd}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.min_a < 1:
             raise ValidationError(f"min_a must be >= 1, got {self.min_a}")
         if math.isnan(self.threshold):
@@ -124,26 +128,27 @@ def _format_drug_filter(codes: frozenset[str] | None) -> str:
     return "" if codes is None else ";".join(sorted(codes))
 
 
-# The run configuration schema: config key -> (parse text, format value).
-# Keys are RunConfig field names; defaults live on RunConfig only.
-CONFIG_SCHEMA: dict[str, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
-    "methods": (
-        lambda t: tuple(m.strip() for m in t.split(",") if m.strip()),
-        ",".join,
-    ),
-    "min_ssm": (float, str),
-    "w": (lambda t: t if t == MAX_SSM else float(t), str),
-    "vague_sd": (float, str),
-    "effects": (str, str),
-    "include_target_in_reml": (_parse_bool, lambda v: str(v).lower()),
-    "threshold": (float, str),
-    "n_samples": (int, str),
-    "seed": (int, str),
-    "min_a": (int, str),
-    "threads": (int, str),
-    "start": (_parse_quarter, _format_quarter),
-    "end": (_parse_quarter, _format_quarter),
-    "drug_filter": (_parse_drug_filter, _format_drug_filter),
+# The run configuration schema: config key -> (parse text, format value, flag
+# help). Keys are RunConfig field names; defaults live on RunConfig only.
+CONFIG_SCHEMA: dict[str, tuple[Callable[[str], Any], Callable[[Any], str], str]] = {
+    "methods": (lambda t: tuple(m.strip() for m in t.split(",") if m.strip()),
+                ",".join, f"comma list from {{{','.join(METHODS)}}}"),
+    "min_ssm": (float, str, "similarity cutoff"),
+    "w": (lambda t: t if t == MAX_SSM else float(t), str,
+          "informative-prior weight: max_ssm or a number"),
+    "vague_sd": (float, str, "vague component standard deviation"),
+    "effects": (str, str, "pooling model for the borrow prior: random or fixed"),
+    "include_target_in_reml": (_parse_bool, lambda v: str(v).lower(),
+                               "let the target pair inform the heterogeneity estimate"),
+    "threshold": (float, str, "signal threshold on ci_low"),
+    "n_samples": (int, str, "Monte Carlo draws per pair"),
+    "seed": (int, str, "run seed"),
+    "min_a": (int, str, "minimum joint count for screening"),
+    "threads": (int, str, "worker threads"),
+    "start": (_parse_quarter, _format_quarter, "first cutoff quarter (YYYYQn)"),
+    "end": (_parse_quarter, _format_quarter, "last cutoff quarter (YYYYQn)"),
+    "drug_filter": (_parse_drug_filter, _format_drug_filter,
+                    "file listing drug codes to screen (one per line)"),
 }
 
 
@@ -175,7 +180,7 @@ def parse_config(values: dict[str, str]) -> RunConfig:
 def config_snapshot(cfg: RunConfig) -> str:
     """Effective configuration as sorted key = value lines; parse_config
     reads it back to an equal RunConfig."""
-    items = {key: fmt(getattr(cfg, key)) for key, (_, fmt) in CONFIG_SCHEMA.items()}
+    items = {key: fmt(getattr(cfg, key)) for key, (_, fmt, _) in CONFIG_SCHEMA.items()}
     items["rng"] = RNG_ALGORITHM
     items["version"] = __version__
     return "".join(f"{k} = {v}\n" for k, v in sorted(items.items()))

@@ -29,7 +29,7 @@ class Quarter:
         return cls(int(m.group(1)), int(m.group(2)))
 
     def __str__(self) -> str:
-        return f"{self.year}Q{self.quarter}"
+        return f"{self.year:04d}Q{self.quarter}"  # parse reads it back
 
     @property
     def ordinal(self) -> int:

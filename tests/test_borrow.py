@@ -387,6 +387,36 @@ def test_borrow_fixed_effects_mode():
         borrow(target, sources, effects="nope")
 
 
+@pytest.mark.parametrize(
+    "vague_sd", [0.0, -1.0, math.nan, math.inf, 1e300, 1e-300, 1e-160]
+)
+def test_robust_prior_rejects_vague_sd_without_normal_square(vague_sd):
+    with pytest.raises(ValueError):
+        RobustPrior(mu=0.0, v=0.25, w=0.5, vague_sd=vague_sd)
+
+
+@pytest.mark.parametrize("vague_sd", [1e150, 1e-150])
+def test_mixture_is_finite_at_extreme_vague_sd(vague_sd):
+    post = mixture_posterior(
+        RobustPrior(mu=0.5, v=0.25, w=0.5, vague_sd=vague_sd), 1.0, 0.3
+    )
+    values = (post.pme, post.variance, post.ci_low, post.ci_high, post.w_tilde)
+    assert all(math.isfinite(x) for x in values)
+    assert post.ci_low < post.pme < post.ci_high
+
+
+def test_mixture_weight_survives_extreme_conflict():
+    # A precise prior far from the target puts log_odds near -45000, where
+    # 1 / (1 + exp(-log_odds)) overflows; the weight is exp(log_odds) there.
+    prior = RobustPrior(mu=0.0, v=1e-4, w=0.5, vague_sd=2.0)
+    post = mixture_posterior(prior, 10.0, 1e-3)
+    assert post.w_tilde == 0.0
+    vague = mixture_posterior(replace(prior, w=0.0), 10.0, 1e-3)
+    assert (post.pme, post.ci_low, post.ci_high) == (
+        vague.pme, vague.ci_low, vague.ci_high
+    )
+
+
 def test_mixture_rejects_bad_variance():
     prior = RobustPrior(mu=0.0, v=0.25, w=0.5, vague_sd=2.0)
     with pytest.raises(NumericalError):

@@ -1,14 +1,17 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import icborrow.pipeline
-from icborrow.cli import main
+from icborrow.cli import build_parser, main
 from icborrow.errors import NumericalError
+from icborrow.pipeline import CONFIG_SCHEMA
 
 from conftest import MALFORMED_ECHOES, break_scenario_echo
 
@@ -288,7 +291,9 @@ def test_bad_config_value_names_key(dataset, tmp_path, capsys, bad):
     [("--n-samples", "999", "n_samples"), ("--min-ssm", "7", "min_ssm"),
      ("--vague-sd", "-1", "vague_sd"), ("--min-a", "-3", "min_a"),
      ("--threshold", "nan", "threshold"), ("--threads", "0", "threads"),
-     ("--threads", "65", "threads")],
+     ("--threads", "65", "threads"), ("--seed", "-1", "seed"),
+     ("--vague-sd", "1e300", "vague_sd"), ("--vague-sd", "1e-300", "vague_sd"),
+     ("--vague-sd", "1e-160", "vague_sd"), ("--vague-sd", "inf", "vague_sd")],
 )
 def test_out_of_range_config_fails_before_loading(
     tmp_path, capsys, flag, value, key
@@ -324,12 +329,15 @@ def test_start_after_end_fails_before_loading(tmp_path, capsys):
 def test_bad_sweep_grid_fails_before_loading(tmp_path, capsys):
     # Every sweep point's config is checked before the (missing) reports
     # file is opened, so this is exit 2, not the I/O error's exit 1.
+    # A key named twice is refused, not merged or overwritten.
     out = tmp_path / "x"
-    for key, values in [("vague_sd", "-1"), ("threshold", "nan")]:
+    for key, axes in [("vague_sd", ["-1"]), ("vague_sd", ["1e300"]),
+                      ("threshold", ["nan"]), ("threshold", ["0.5", "1"])]:
+        grid = [arg for values in axes for arg in ("--grid", f"{key}={values}")]
         code = main(
             ["sweep", "--reports", str(tmp_path / "missing.tsv"),
              "--reference", str(tmp_path / "missing_ref.tsv"), "--out", str(out),
-             "--methods", "IC", "--grid", f"{key}={values}"]
+             "--methods", "IC"] + grid
         )
         assert code == 2
         err = json.loads(capsys.readouterr().err)
@@ -591,3 +599,28 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_config_flags_are_the_schema_keys():
+    # The flags of run, evaluate, compare and sweep beyond these are exactly
+    # the config keys, with `_` written as `-`; --non-strict goes only to the
+    # commands that score against a reference.
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    schema = {"--" + key.replace("_", "-") for key in CONFIG_SCHEMA}
+    for name in ("run", "evaluate", "compare", "sweep"):
+        options = {o for a in commands.choices[name]._actions for o in a.option_strings}
+        other = {"-h", "--help", "--reports", "--ontology", "--out", "--config"}
+        if name != "run":
+            other |= {"--reference", "--non-strict"}
+        other |= {"evaluate": {"--bootstrap"}, "sweep": {"--grid"}}.get(name, set())
+        assert options - other == schema, name
+        assert ("--non-strict" in options) == (name != "run"), name
+
+
+def test_readme_config_table_names_the_schema_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Key | Value |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    keys = set()
+    for row in table.splitlines():
+        keys.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+    assert keys == set(CONFIG_SCHEMA)

@@ -118,6 +118,12 @@ def test_ic_cache_memoizes(six_report_store):
         {"min_ssm": -0.1},
         {"vague_sd": -1.0},
         {"vague_sd": 0.0},
+        {"vague_sd": math.nan},
+        {"vague_sd": math.inf},
+        {"vague_sd": 1e300},
+        {"vague_sd": 1e-300},
+        {"vague_sd": 1e-160},
+        {"seed": -1},
         {"min_a": -3},
         {"min_a": 0},
         {"threshold": math.nan},

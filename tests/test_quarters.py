@@ -15,6 +15,7 @@ def test_parse_round_trip():
     q = Quarter.parse("2016Q3")
     assert (q.year, q.quarter) == (2016, 3)
     assert str(q) == "2016Q3"
+    assert str(Quarter.parse("0001Q1")) == "0001Q1"  # years below 1000 too
 
 
 @pytest.mark.parametrize("text", ["2016", "2016Q5", "2016Q0", "16Q1", "2016q1", ""])
