@@ -19,6 +19,7 @@ import tempfile
 from icborrow import (
     ContingencyTable,
     RobustPrior,
+    RunConfig,
     borrow,
     build_similarity,
     load_ontology,
@@ -89,11 +90,12 @@ def main() -> None:
         print(f"  {pt}: ssm={ssm:.3f}  ic={post.pme:+.3f}")
 
     print("\nstage 3: pooled prior (random effects)")
-    pooled = random_effects_map(sources, target=(target.pme, target.variance))
+    pooled = random_effects_map(sources)
     print(f"  mu={pooled.mu:+.3f}  v={pooled.v:.4f}  tau2={pooled.tau2:.4f}")
 
     print("\nstage 4 + 5: robust mixture and the final estimate")
-    result = borrow(target, sources, vague_sd=2.0)
+    config = RunConfig()  # the default w, vague_sd and random-effects pooling
+    result = borrow(target, sources, config)
     post = result.posterior
     print(f"  prior weight w={result.w:.3f} (max source similarity)")
     print(f"  posterior weight w_tilde={post.w_tilde:.3f}")
@@ -104,7 +106,7 @@ def main() -> None:
     )
 
     print("\nconflict check: what if the prior disagreed hard?")
-    clash = RobustPrior(mu=-2.0, v=pooled.v, w=result.w, vague_sd=2.0)
+    clash = RobustPrior(mu=-2.0, v=pooled.v, w=result.w, vague_sd=config.vague_sd)
     clashed = mixture_posterior(clash, target.pme, target.variance)
     print(
         f"  prior at -2.0 instead: w_tilde drops to {clashed.w_tilde:.3f} and "

@@ -32,10 +32,11 @@ def main() -> None:
     ontology = load_ontology(os.path.join(workdir, "ontology.tsv"))
     store = load_reports(os.path.join(workdir, "reports.tsv"), ontology)
 
-    config = RunConfig(methods=(METHOD_IC,), n_samples=20_000, seed=0)
-    ctx = RunContext(store=store, config=config)
     final = store.quarters()[-1]
-    results = run_quarters(ctx, [final]).results
+    config = RunConfig(
+        methods=(METHOD_IC,), n_samples=20_000, seed=0, start=final, end=final
+    )
+    results = run_quarters(RunContext(store=store, config=config)).results
 
     flagged = sorted(
         (r for r in results if r.signal), key=lambda r: -r.ci_low
@@ -49,7 +50,8 @@ def main() -> None:
         )
     print("\nplanted pairs (listed in manifest.json) should dominate the top;")
     print("equivalent command line:")
-    print(f"  icborrow run --reports {workdir}/reports.tsv --methods IC --out out/")
+    print(f"  icborrow run --reports {workdir}/reports.tsv --methods IC "
+          f"--start {final} --end {final} --n-samples 20000 --out out/")
 
 
 if __name__ == "__main__":

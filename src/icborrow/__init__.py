@@ -35,6 +35,7 @@ from .evaluate import (
     parameter_sweep,
     quarterly_curves,
     score,
+    sweep_points,
 )
 from .ic import IcPosterior, posterior_ic, signal_flag
 from .ontology import Ontology, SimilarityMatrix, build_similarity, load_ontology
@@ -103,5 +104,6 @@ __all__ = [
     "run_quarters",
     "score",
     "signal_flag",
+    "sweep_points",
     "verify_manifest",
 ]

@@ -13,12 +13,15 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import NumericalError
 from .ic import IcPosterior
+
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import RunConfig
 
 log = logging.getLogger(__name__)
 
@@ -193,24 +196,22 @@ def reml_tau2(
 
 
 def random_effects_map(
-    sources: list[BorrowSource],
-    target: tuple[float, float] | None = None,
-    include_target_in_reml: bool = False,
+    sources: list[BorrowSource], target: tuple[float, float] | None = None
 ) -> MapPrior:
     """Random-effects pooling: REML tau^2, then the fixed-effect formulas
     with each vic_s replaced by vic_s + tau^2.
 
-    The optional target (ic, vic) enters the tau^2 estimation only when
-    include_target_in_reml is set; it never enters the pooled mean. With a
-    single source the result reduces to fixed_effect_map exactly.
+    A given target (ic, vic) enters the tau^2 estimation as one more study;
+    it never enters the pooled mean. With a single source and no target the
+    result reduces to fixed_effect_map exactly.
     """
     if not sources:
         raise ValueError("random_effects_map needs at least one source")
     ics = [s.ic for s in sources]
     vics = [s.vic for s in sources]
-    if include_target_in_reml and target is not None:
-        ics = ics + [target[0]]
-        vics = vics + [target[1]]
+    if target is not None:
+        ics.append(target[0])
+        vics.append(target[1])
     tau2, converged = reml_tau2(ics, vics)
     if not converged:
         log.warning(
@@ -241,7 +242,7 @@ class RobustPrior:
     mu: float
     v: float
     w: float
-    vague_sd: float = 2.0
+    vague_sd: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.w <= 1.0:
@@ -344,14 +345,10 @@ class BorrowResult:
 
 
 def borrow(
-    target: IcPosterior,
-    sources: list[BorrowSource],
-    effects: str = RANDOM_EFFECTS,
-    w: str | float = MAX_SSM,
-    vague_sd: float = 2.0,
-    include_target_in_reml: bool = False,
+    target: IcPosterior, sources: list[BorrowSource], config: RunConfig
 ) -> BorrowResult:
-    """Full borrowing step for one target pair.
+    """Full borrowing step for one target pair, under the config's
+    ``effects``, ``w``, ``vague_sd`` and ``include_target_in_reml``.
 
     The pooled prior gets informative weight ``w``: "max_ssm" for the
     largest source similarity, or a number in [0, 1] used as given. With
@@ -360,20 +357,13 @@ def borrow(
     """
     if not sources:
         return BorrowResult(posterior=target, map_prior=None, w=None)
-    if effects == RANDOM_EFFECTS:
-        pooled = random_effects_map(
-            sources,
-            target=(target.pme, target.variance),
-            include_target_in_reml=include_target_in_reml,
-        )
-    elif effects == FIXED_EFFECTS:
+    if config.effects == FIXED_EFFECTS:
         pooled = fixed_effect_map(sources)
+    elif config.include_target_in_reml:
+        pooled = random_effects_map(sources, target=(target.pme, target.variance))
     else:
-        raise ValueError(f"unknown effects model {effects!r}")
-    if w == MAX_SSM:
-        w = max(s.ssm for s in sources)
-    elif isinstance(w, str):
-        raise ValueError(f"unknown prior weight {w!r}")
-    robust = RobustPrior(mu=pooled.mu, v=pooled.v, w=w, vague_sd=vague_sd)
+        pooled = random_effects_map(sources)
+    w = max(s.ssm for s in sources) if config.w == MAX_SSM else config.w
+    robust = RobustPrior(mu=pooled.mu, v=pooled.v, w=w, vague_sd=config.vague_sd)
     posterior = mixture_posterior(robust, target.pme, target.variance)
     return BorrowResult(posterior=posterior, map_prior=pooled, w=w)

@@ -21,6 +21,7 @@ from ._version import __version__
 from .errors import NumericalError, ValidationError
 from .evaluate import (
     MIN_BOOTSTRAP_ITER,
+    POSITIVE,
     SWEEP_PARAMS,
     bootstrap,
     check_negative_controls,
@@ -252,6 +253,8 @@ def _cmd_evaluate(args: argparse.Namespace, config: RunConfig, outdir: str) -> N
             f"--bootstrap must be 0 or >= {MIN_BOOTSTRAP_ITER}, got {args.bootstrap}"
         )
     entries = load_reference(args.reference)
+    if args.bootstrap and not entries:
+        raise ValidationError("bootstrap needs a non-empty reference set")
     run = _screen(args, config)
     curves = {
         method: quarterly_curves(run.first_alerts[method], entries, run.quarters)
@@ -281,6 +284,8 @@ def _cmd_compare(args: argparse.Namespace, config: RunConfig, outdir: str) -> No
     if len(config.methods) != 2:
         raise ValidationError("compare needs exactly two methods")
     entries = load_reference(args.reference)
+    if not any(e.kind == POSITIVE for e in entries):
+        raise ValidationError("comparison needs at least one positive control")
     run = _screen(args, config)
     method_a, method_b = config.methods
     comparison = compare_methods(
@@ -313,18 +318,12 @@ def _parse_grid(items: list[str]) -> dict[str, list]:
 
 @_writes_output
 def _cmd_sweep(args: argparse.Namespace, config: RunConfig, outdir: str) -> None:
-    grid = _parse_grid(args.grid)
-    sweep_points(config, grid)  # a bad grid fails before any data is read
+    points = sweep_points(config, _parse_grid(args.grid))  # before any data is read
     entries = load_reference(args.reference)
     ontology = load_ontology(args.ontology) if args.ontology else None
     store = load_reports(args.reports, ontology)
     rows = parameter_sweep(
-        store,
-        entries,
-        config,
-        grid,
-        ontology=ontology,
-        strict_before=not args.non_strict,
+        store, entries, points, ontology=ontology, strict_before=not args.non_strict
     )
     write_sweep_csv(rows, os.path.join(outdir, "sweep.csv"))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ontology import Ontology, build_similarity
-from .pipeline import METHOD_SSM, IcCache, RunConfig, RunContext, run_quarters
+from .pipeline import METHOD_SSM, RunConfig, RunContext, run_quarters
 from .quarters import Quarter
 from .reports import ReportStore
 
@@ -352,34 +352,30 @@ class SweepRow:
 def parameter_sweep(
     store: ReportStore,
     entries: list[ReferenceEntry],
-    config: RunConfig,
-    grid: dict[str, list],
+    points: list[tuple[str, object, RunConfig]],
     ontology: Ontology | None = None,
     strict_before: bool = True,
 ) -> list[SweepRow]:
-    """One-at-a-time sweep around the reference configuration.
+    """Screen and score each (param, value, config) point of sweep_points.
 
-    grid maps a subset of {min_ssm, w, vague_sd, threshold} to value lists;
-    ``w`` accepts numbers (fixed weight) or the string "max_ssm". The
-    reference point is prepended to every axis so each sweep contains it.
     Monte Carlo work is shared across points through a common cache, and
-    IC_SSM's similarity is built once from ``ontology`` at the grid's
+    IC_SSM's similarity is built once from ``ontology`` at the points'
     lowest min_ssm.
     """
-    points = sweep_points(config, grid)
     similarity = None
-    if METHOD_SSM in config.methods:
+    if any(METHOD_SSM in cfg.methods for _, _, cfg in points):
         if ontology is None:
             raise ValidationError("sweep needs an ontology for IC_SSM")
-        floor = min([config.min_ssm] + [v for v in grid.get("min_ssm", [])])
+        floor = min(cfg.min_ssm for _, _, cfg in points)
         similarity = build_similarity(ontology, min_ssm=floor)
 
-    cache = IcCache(store, config.seed, config.n_samples)
+    cache = None  # the first point's, shared with every later point
     rows: list[SweepRow] = []
     for param, value, cfg in points:
         ctx = RunContext(
             store, cfg, similarity=similarity, ontology=ontology, cache=cache
         )
+        cache = ctx.cache
         run = run_quarters(ctx)
         for method in cfg.methods:
             report = score(
@@ -399,8 +395,10 @@ def sweep_points(
 ) -> list[tuple[str, object, RunConfig]]:
     """(param, value, config) for every sweep point, in sweep order.
 
-    Builds every point's RunConfig up front, so a bad grid key or value
-    fails before any data is screened.
+    One-at-a-time around ``config``: grid maps a subset of SWEEP_PARAMS to
+    value lists (``w`` takes numbers or "max_ssm"), and the reference value
+    is prepended to an axis that lacks it. A bad key or value, or two values
+    of one axis with one sweep label, fails here, before any screening.
     """
     for key in grid:
         if key not in SWEEP_PARAMS:
@@ -413,13 +411,21 @@ def sweep_points(
         reference_value = getattr(config, param)
         if reference_value not in values:
             values = [reference_value] + values
+        labels = set()
         for value in values:
+            label = _sweep_label(value)
+            if label in labels:
+                raise ValidationError(
+                    f"sweep parameter {param!r} has the value {label} twice"
+                )
+            labels.add(label)
             points.append((param, value, replace(config, **{param: value})))
     return points
 
 
 def _sweep_label(value) -> str:
-    return value if isinstance(value, str) else f"{float(value):g}"
+    # + 0.0 turns -0.0, which screens as 0.0, into 0.0: one label, "0".
+    return value if isinstance(value, str) else f"{float(value) + 0.0:g}"
 
 
 # -- serialization ---------------------------------------------------------------

@@ -316,6 +316,7 @@ def _validate(ont: Ontology) -> None:
 class SimilarityMatrix:
     """Symmetric sparse PT-pair similarity, storing only values above min_ssm."""
 
+    min_ssm: float = 0.0
     _adj: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def neighbors(self, pt: str) -> list[tuple[str, float]]:
@@ -346,7 +347,7 @@ def build_similarity(
     if not min_ssm >= 0.0:
         raise ValidationError(f"min_ssm must be >= 0, got {min_ssm!r}")
     codes = sorted(set(pts if pts is not None else ont.pts()))
-    out = SimilarityMatrix()
+    out = SimilarityMatrix(min_ssm)
     if len(codes) < 2:
         return out
     members: dict[str, list[str]] = {}  # ancestor -> sorted codes under it

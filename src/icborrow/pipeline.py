@@ -254,7 +254,8 @@ class IcCache:
 class RunContext:
     """Shared state for one or more screens over the same store and config.
 
-    A given cache must be over the same store, seed and n_samples.
+    A given cache must be over the same store, seed and n_samples, and a
+    given similarity matrix must be built at or below config.min_ssm.
     """
 
     store: ReportStore
@@ -267,12 +268,17 @@ class RunContext:
     )
 
     def __post_init__(self) -> None:
-        needs_sim = METHOD_SSM in self.config.methods
-        if needs_sim and self.similarity is None:
-            raise ValidationError("IC_SSM requires a similarity matrix")
-        if METHOD_HLGT in self.config.methods and self.ontology is None:
-            raise ValidationError("IC_HLGT requires an ontology")
         cfg = self.config
+        if METHOD_SSM in cfg.methods:
+            if self.similarity is None:
+                raise ValidationError("IC_SSM requires a similarity matrix")
+            if self.similarity.min_ssm > cfg.min_ssm:
+                raise ValidationError(
+                    f"similarity matrix built at min_ssm {self.similarity.min_ssm} "
+                    f"drops pairs that min_ssm {cfg.min_ssm} keeps"
+                )
+        if METHOD_HLGT in cfg.methods and self.ontology is None:
+            raise ValidationError("IC_HLGT requires an ontology")
         if self.cache is None:
             self.cache = IcCache(self.store, cfg.seed, cfg.n_samples)
         elif (self.cache.store, self.cache.seed, self.cache.n_samples) != (
@@ -344,14 +350,7 @@ def analyze_pair(
         post, borrowed = target, {}
         if method != METHOD_IC:
             sources = _gather_sources(ctx, drug, event, cutoff, method)
-            adjusted = borrow(
-                target,
-                sources,
-                effects=cfg.effects,
-                w=cfg.w,
-                vague_sd=cfg.vague_sd,
-                include_target_in_reml=cfg.include_target_in_reml,
-            )
+            adjusted = borrow(target, sources, cfg)
             post, pooled = adjusted.posterior, adjusted.map_prior
             borrowed = dict(s_count=len(sources), w=adjusted.w)
             if pooled is not None:
@@ -388,24 +387,22 @@ class QuarterlyRun:
     quarters: list[Quarter]
 
 
-def run_quarters(ctx: RunContext, quarters: list[Quarter] | None = None) -> QuarterlyRun:
+def run_quarters(ctx: RunContext) -> QuarterlyRun:
     """Cumulative screening of every active pair at each quarter.
 
+    The cutoffs are the store's quarters within config.start..config.end.
     At each cutoff the pairs are those with a >= config.min_a whose drug is
-    in the configured drug filter. With quarters=None the cutoffs are the
-    store's quarters within config.start..config.end.
+    in the configured drug filter.
     """
     cfg = ctx.config
-    if quarters is None:
-        all_q = ctx.store.quarters()
-        if not all_q:
-            raise ValidationError("report store is empty")
-        lo = cfg.start or all_q[0]
-        hi = cfg.end or all_q[-1]
-        quarters = [q for q in all_q if lo <= q <= hi]
-        if not quarters:
-            raise ValidationError(f"no report quarters within {lo}..{hi}")
-    quarters = sorted(quarters)
+    all_q = ctx.store.quarters()
+    if not all_q:
+        raise ValidationError("report store is empty")
+    lo = cfg.start or all_q[0]
+    hi = cfg.end or all_q[-1]
+    quarters = [q for q in all_q if lo <= q <= hi]
+    if not quarters:
+        raise ValidationError(f"no report quarters within {lo}..{hi}")
     tasks = [
         (cutoff, drug, event)
         for cutoff in quarters

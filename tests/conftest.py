@@ -179,7 +179,7 @@ def save_similarity_csv(matrix: SimilarityMatrix, path: str) -> None:
 
 def load_similarity_csv(path: str, min_ssm: float) -> SimilarityMatrix:
     """A matrix from pt_a,pt_b,ssm rows, keeping the values above min_ssm."""
-    out = SimilarityMatrix()
+    out = SimilarityMatrix(min_ssm)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -12,6 +12,7 @@ from icborrow import (
     BorrowSource,
     IcPosterior,
     RobustPrior,
+    RunConfig,
     borrow,
     mixture_posterior,
     random_effects_map,
@@ -173,10 +174,8 @@ def test_random_effects_inflates_weights_by_tau2():
 
 def test_target_opt_in_changes_only_tau2_inputs():
     sources = [src(0.4, 0.2, 0.6), src(0.6, 0.3, 0.6)]
-    base = random_effects_map(sources, target=(5.0, 0.1))
-    opted = random_effects_map(
-        sources, target=(5.0, 0.1), include_target_in_reml=True
-    )
+    base = random_effects_map(sources)
+    opted = random_effects_map(sources, target=(5.0, 0.1))
     assert base.tau2 == 0.0
     assert opted.tau2 > base.tau2
     # pooled mean still ignores the target's own value
@@ -187,15 +186,11 @@ def test_weight_policies():
     # w is "max_ssm" (the largest source similarity) or a number used as given.
     target = target_posterior()
     sources = [src(0.0, 0.2, 0.96), src(0.0, 0.2, 0.5)]
-    assert borrow(target, sources).w == 0.96  # default w = "max_ssm"
-    assert borrow(target, sources, w="max_ssm").w == 0.96
-    assert borrow(target, [src(0.0, 0.2, 0.301)]).w == 0.301
-    assert borrow(target, sources, w=0.8).w == 0.8
-    for w in (0.0, 1.0):
-        assert borrow(target, sources, w=w).w == w
-    for bad in (1.2, -0.1, math.nan, "nope"):
-        with pytest.raises(ValueError):
-            borrow(target, sources, w=bad)
+    assert borrow(target, sources, RunConfig()).w == 0.96  # default w = "max_ssm"
+    assert borrow(target, sources, RunConfig(w="max_ssm")).w == 0.96
+    assert borrow(target, [src(0.0, 0.2, 0.301)], RunConfig()).w == 0.301
+    for w in (0.8, 0.0, 1.0):
+        assert borrow(target, sources, RunConfig(w=w)).w == w
 
 
 def test_borrow_prior_carries_map_and_weight():
@@ -206,7 +201,7 @@ def test_borrow_prior_carries_map_and_weight():
         ("random", "max_ssm", 0.96), ("fixed", "max_ssm", 0.96),
         ("random", 0.8, 0.8), ("fixed", 0.3, 0.3),
     ]:
-        result = borrow(target, sources, effects=effects, w=w, vague_sd=1.5)
+        result = borrow(target, sources, RunConfig(effects=effects, w=w, vague_sd=1.5))
         pooled = result.map_prior
         robust = RobustPrior(mu=pooled.mu, v=pooled.v, w=weight, vague_sd=1.5)
         assert result.posterior == mixture_posterior(
@@ -361,7 +356,7 @@ def target_posterior(pme=1.5, variance=0.3):
 
 def test_borrow_without_sources_is_passthrough():
     target = target_posterior()
-    result = borrow(target, [])
+    result = borrow(target, [], RunConfig())
     assert result.map_prior is None and result.w is None
     assert result.posterior is target
 
@@ -369,22 +364,22 @@ def test_borrow_without_sources_is_passthrough():
 def test_borrow_full_path_matches_stages():
     target = target_posterior()
     sources = [src(1.2, 0.2, 0.6, "PTA"), src(1.8, 0.25, 0.45, "PTB")]
-    result = borrow(target, sources, vague_sd=2.0)
-    pooled = random_effects_map(sources, target=(target.pme, target.variance))
-    robust = RobustPrior(mu=pooled.mu, v=pooled.v, w=0.6, vague_sd=2.0)
-    expected = mixture_posterior(robust, target.pme, target.variance)
-    assert result.posterior == expected
-    assert result.map_prior == pooled
-    assert result.w == 0.6
+    for in_reml in (None, (target.pme, target.variance)):
+        config = RunConfig(vague_sd=2.0, include_target_in_reml=in_reml is not None)
+        result = borrow(target, sources, config)
+        pooled = random_effects_map(sources, target=in_reml)
+        robust = RobustPrior(mu=pooled.mu, v=pooled.v, w=0.6, vague_sd=2.0)
+        expected = mixture_posterior(robust, target.pme, target.variance)
+        assert result.posterior == expected
+        assert result.map_prior == pooled
+        assert result.w == 0.6
 
 
 def test_borrow_fixed_effects_mode():
     target = target_posterior()
     sources = [src(0.2, 0.3, 0.5), src(1.1, 0.2, 0.7)]
-    result = borrow(target, sources, effects="fixed")
+    result = borrow(target, sources, RunConfig(effects="fixed"))
     assert result.map_prior == fixed_effect_map(sources)
-    with pytest.raises(ValueError):
-        borrow(target, sources, effects="nope")
 
 
 @pytest.mark.parametrize(

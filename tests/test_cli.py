@@ -329,10 +329,17 @@ def test_start_after_end_fails_before_loading(tmp_path, capsys):
 def test_bad_sweep_grid_fails_before_loading(tmp_path, capsys):
     # Every sweep point's config is checked before the (missing) reports
     # file is opened, so this is exit 2, not the I/O error's exit 1.
-    # A key named twice is refused, not merged or overwritten.
+    # A key named twice is refused, not merged or overwritten, and so is a
+    # value that repeats another's sweep.csv label on its axis.
     out = tmp_path / "x"
-    for key, axes in [("vague_sd", ["-1"]), ("vague_sd", ["1e300"]),
-                      ("threshold", ["nan"]), ("threshold", ["0.5", "1"])]:
+    for key, axes, fragment in [
+        ("vague_sd", ["-1"], "vague_sd"), ("vague_sd", ["1e300"], "vague_sd"),
+        ("threshold", ["nan"], "threshold"), ("threshold", ["0.5", "1"], "threshold"),
+        ("threshold", ["0.5,0.5,0.50"], "'threshold' has the value 0.5 twice"),
+        ("w", ["max_ssm,max_ssm"], "'w' has the value max_ssm twice"),
+        ("threshold", ["0.1234567,0.1234568"],
+         "'threshold' has the value 0.123457 twice"),
+    ]:
         grid = [arg for values in axes for arg in ("--grid", f"{key}={values}")]
         code = main(
             ["sweep", "--reports", str(tmp_path / "missing.tsv"),
@@ -341,8 +348,37 @@ def test_bad_sweep_grid_fails_before_loading(tmp_path, capsys):
         )
         assert code == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValidationError" and key in err["message"]
+        assert err["error"] == "ValidationError" and fragment in err["message"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, reference, message",
+    [
+        ("compare", ["--methods", "IC,IC_SSM"], "D001\tP1\tNEGATIVE\n",
+         "comparison needs at least one positive control"),
+        ("evaluate", ["--methods", "IC", "--bootstrap", "100"], "# no rows\n",
+         "bootstrap needs a non-empty reference set"),
+    ],
+    ids=["compare", "evaluate"],
+)
+def test_reference_content_is_checked_before_loading(
+    dataset, tmp_path, capsys, monkeypatch, command, flags, reference, message
+):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("reports loaded before the reference was checked")
+
+    monkeypatch.setattr("icborrow.cli.load_reports", no_loading)
+    ref, out = tmp_path / "reference.tsv", tmp_path / "x"
+    ref.write_text(reference)
+    code = main(
+        [command] + io_args(dataset, with_reference=False)
+        + ["--reference", str(ref), "--out", str(out)] + flags + BASE
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and err["message"] == message
+    assert not out.exists()
 
 
 def test_empty_drug_filter_is_rejected(dataset, tmp_path, capsys):

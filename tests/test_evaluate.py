@@ -18,6 +18,7 @@ from icborrow import (
     parameter_sweep,
     quarterly_curves,
     score,
+    sweep_points,
 )
 from icborrow.evaluate import (
     write_compare_csv,
@@ -272,7 +273,8 @@ def sweep_inputs(tmp_path_factory):
 def test_parameter_sweep_threshold_axis(sweep_inputs):
     store, entries = sweep_inputs
     config = RunConfig(methods=("IC",), n_samples=2_000, seed=1)
-    rows = parameter_sweep(store, entries, config, {"threshold": [1.0, 99.0]})
+    points = sweep_points(config, {"threshold": [1.0, 99.0]})
+    rows = parameter_sweep(store, entries, points)
     assert [(r.param, r.value) for r in rows] == [
         ("threshold", "0"),
         ("threshold", "1"),
@@ -282,35 +284,48 @@ def test_parameter_sweep_threshold_axis(sweep_inputs):
     assert tps == sorted(tps, reverse=True)
     silent = rows[-1].report
     assert silent.tp == 0 and silent.fp == 0
+    assert parameter_sweep(store, entries, []) == []
 
 
 def test_parameter_sweep_keeps_reference_point(sweep_inputs):
     store, entries = sweep_inputs
     config = RunConfig(methods=("IC",), n_samples=2_000, seed=1, threshold=1.0)
-    rows = parameter_sweep(store, entries, config, {"threshold": [1.0, 0.0]})
+    rows = parameter_sweep(
+        store, entries, sweep_points(config, {"threshold": [1.0, 0.0]})
+    )
     # the reference value is already on the axis: no duplicate row
     assert [r.value for r in rows] == ["1", "0"]
 
 
-def test_parameter_sweep_rejects_unknown_param(sweep_inputs):
-    store, entries = sweep_inputs
+def test_parameter_sweep_rejects_unknown_param():
     config = RunConfig(methods=("IC",), n_samples=2_000)
     with pytest.raises(ValidationError):
-        parameter_sweep(store, entries, config, {"n_samples": [100]})
+        sweep_points(config, {"n_samples": [100]})
 
 
-def test_parameter_sweep_checks_every_point_before_screening(
-    sweep_inputs, monkeypatch
-):
-    store, entries = sweep_inputs
-
-    def no_screening(*args, **kwargs):
-        raise AssertionError("run_quarters called before the grid was checked")
-
-    monkeypatch.setattr("icborrow.evaluate.run_quarters", no_screening)
+def test_parameter_sweep_checks_every_point_before_screening():
+    # sweep_points builds every point's config; it reads and screens no data.
     config = RunConfig(methods=("IC",), n_samples=2_000)
     with pytest.raises(ValidationError, match="vague_sd"):
-        parameter_sweep(store, entries, config, {"vague_sd": [1.0, -1.0]})
+        sweep_points(config, {"vague_sd": [1.0, -1.0]})
+
+
+@pytest.mark.parametrize(
+    "reference, grid, label",
+    [
+        ({}, {"threshold": [0.5, 0.5]}, "0.5"),
+        ({}, {"w": ["max_ssm", "max_ssm"]}, "max_ssm"),
+        ({}, {"threshold": [0.1234567, 0.1234568]}, "0.123457"),
+        ({"threshold": 0.1234567}, {"threshold": [0.1234568]}, "0.123457"),
+        ({}, {"threshold": [-0.0, 0.0]}, "0"),
+    ],
+)
+def test_sweep_points_rejects_repeated_values(reference, grid, label):
+    # Two points of one axis with one sweep.csv label, the reference included.
+    config = RunConfig(methods=("IC",), n_samples=2_000, **reference)
+    (key,) = grid
+    with pytest.raises(ValidationError, match=f"'{key}' has the value {label} twice"):
+        sweep_points(config, grid)
 
 
 def test_write_metrics_csv(tmp_path):
@@ -349,7 +364,7 @@ def test_write_compare_csv(tmp_path):
 def test_write_sweep_csv(tmp_path, sweep_inputs):
     store, entries = sweep_inputs
     config = RunConfig(methods=("IC",), n_samples=2_000)
-    rows = parameter_sweep(store, entries, config, {"threshold": [2.0]})
+    rows = parameter_sweep(store, entries, sweep_points(config, {"threshold": [2.0]}))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, str(path))
     lines = path.read_text().splitlines()

@@ -112,6 +112,7 @@ def test_ic_cache_memoizes(six_report_store):
         {"methods": ()},
         {"w": 1.5},
         {"w": -0.1},
+        {"w": math.nan},
         {"drug_filter": frozenset()},
         {"n_samples": 999},
         {"min_ssm": 7.0},
@@ -142,11 +143,16 @@ def test_threads_are_bounded():
         parse_config({"threads": str(MAX_THREADS + 1)})
 
 
-def test_context_requires_method_inputs(six_report_store):
+def test_context_requires_method_inputs(six_report_store, chain_ontology):
     with pytest.raises(ValidationError):
         RunContext(six_report_store, small_config(methods=(METHOD_SSM,)))
     with pytest.raises(ValidationError):
         RunContext(six_report_store, small_config(methods=(METHOD_HLGT,)))
+    # A matrix built above min_ssm would silently drop IC_SSM sources.
+    narrow = build_similarity(chain_ontology, min_ssm=0.4)
+    with pytest.raises(ValidationError, match="min_ssm 0.4"):
+        RunContext(six_report_store, small_config(min_ssm=0.3), similarity=narrow)
+    RunContext(six_report_store, small_config(min_ssm=0.4), similarity=narrow)
 
 
 def test_context_neighbors(six_report_store, chain_ontology):
@@ -185,7 +191,7 @@ def test_prior_weight_applies_to_both_borrowing_methods(
         similarity=build_similarity(chain_ontology, min_ssm=0.1),
         ontology=chain_ontology,
     )
-    results = run_quarters(ctx, [Q("2015Q1")]).results
+    results = run_quarters(ctx).results
     by_method = {r.method: r for r in results if (r.drug, r.event) == ("D", "L1")}
     assert by_method[METHOD_IC].w is None
     assert by_method[METHOD_SSM].s_count == by_method[METHOD_HLGT].s_count == 1
@@ -223,18 +229,20 @@ def test_run_quarters_result_order_and_thread_invariance(basic_run):
     # cutoff, then (drug, event), then the configured methods, at any
     # thread count
     store, ontology, similarity = basic_run
-    cutoffs = [Q("2015Q4"), Q("2015Q2")]
-    cfg = small_config(methods=(METHOD_SSM, METHOD_IC))
+    cutoffs = [Q("2015Q3"), Q("2015Q4")]
+    cfg = small_config(
+        methods=(METHOD_SSM, METHOD_IC), start=cutoffs[0], end=cutoffs[-1]
+    )
     runs = []
     for threads in (1, 4):
         ctx = RunContext(store, replace(cfg, threads=threads), similarity=similarity)
-        runs.append(run_quarters(ctx, cutoffs).results)
+        runs.append(run_quarters(ctx).results)
     one, four = runs
     assert one == four
     keys = [(r.cutoff, r.drug, r.event, r.method) for r in one]
     expected = [
         (q, drug, event, method)
-        for q in sorted(cutoffs)
+        for q in cutoffs
         for drug, event in sorted(store.active_pairs(q))
         for method in cfg.methods
     ]
@@ -244,18 +252,21 @@ def test_run_quarters_result_order_and_thread_invariance(basic_run):
 
 def test_run_quarters_drug_filter(basic_run):
     store, _, similarity = basic_run
-    cfg = small_config(methods=(METHOD_IC,))
-    everything = run_quarters(RunContext(store, cfg), [Q("2015Q4")]).results
+    cfg = small_config(methods=(METHOD_IC,), start=Q("2015Q4"), end=Q("2015Q4"))
+    everything = run_quarters(RunContext(store, cfg)).results
     assert {r.drug for r in everything} > {"D001"}
     for codes in ({"D001"}, {"D001", "NO_SUCH_DRUG"}):
         ctx = RunContext(store, replace(cfg, drug_filter=frozenset(codes)))
-        results = run_quarters(ctx, [Q("2015Q4")]).results
+        results = run_quarters(ctx).results
         assert results == [r for r in everything if r.drug == "D001"]
 
 
 def test_run_quarters_hand_counted_table(six_report_store):
-    ctx = RunContext(six_report_store, small_config(methods=(METHOD_IC,)))
-    results = run_quarters(ctx, [Q("2015Q4")]).results
+    ctx = RunContext(
+        six_report_store,
+        small_config(methods=(METHOD_IC,), start=Q("2015Q4"), end=Q("2015Q4")),
+    )
+    results = run_quarters(ctx).results
     matches = [r for r in results if (r.drug, r.event) == ("DRUG", "EV")]
     assert len(matches) == 1
     r = matches[0]
@@ -327,12 +338,12 @@ def test_results_csv(tmp_path, six_report_store, chain_ontology):
     similarity = build_similarity(chain_ontology, min_ssm=0.1)
     ctx = RunContext(
         six_report_store,
-        small_config(min_ssm=0.1),
+        small_config(min_ssm=0.1, start=Q("2015Q4"), end=Q("2015Q4")),
         similarity=similarity,
     )
     results = [
         r
-        for r in run_quarters(ctx, [Q("2015Q4")]).results
+        for r in run_quarters(ctx).results
         if (r.drug, r.event) == ("DRUG", "EV")
     ]
 
@@ -366,10 +377,14 @@ def test_no_sources_leaves_borrow_columns_blank(
 ):
     # at the default 0.3 cutoff the chain ontology has no qualifying pairs
     similarity = build_similarity(chain_ontology)
-    ctx = RunContext(six_report_store, small_config(), similarity=similarity)
+    ctx = RunContext(
+        six_report_store,
+        small_config(start=Q("2015Q4"), end=Q("2015Q4")),
+        similarity=similarity,
+    )
     results = [
         r
-        for r in run_quarters(ctx, [Q("2015Q4")]).results
+        for r in run_quarters(ctx).results
         if (r.drug, r.event) == ("DRUG", "EV")
     ]
     ssm = next(r for r in results if r.method == METHOD_SSM)

@@ -278,9 +278,11 @@ def test_null_scenario_keeps_plain_ic_quiet(tmp_path):
         outdir = tmp_path / f"null{seed}"
         generate(replace(PRESETS["null"], seed=seed), str(outdir))
         store = load_reports(str(outdir / "reports.tsv"))
-        cfg = RunConfig(methods=(METHOD_IC,), n_samples=2_000, seed=seed)
-        ctx = RunContext(store, cfg)
-        results = run_quarters(ctx, [store.quarters()[-1]]).results
+        final = store.quarters()[-1]
+        cfg = RunConfig(
+            methods=(METHOD_IC,), n_samples=2_000, seed=seed, start=final, end=final
+        )
+        results = run_quarters(RunContext(store, cfg)).results
         flagged += sum(1 for r in results if r.signal)
         total += len(results)
         oes.extend(r.oe for r in results if r.oe is not None)
