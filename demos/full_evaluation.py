@@ -38,18 +38,18 @@ def main() -> None:
     ontology = load_ontology(os.path.join(workdir, "ontology.tsv"))
     store = load_reports(os.path.join(workdir, "reports.tsv"), ontology)
     entries = load_reference(os.path.join(workdir, "reference.tsv"))
-    similarity = build_similarity(ontology)
-    print(
-        f"{len(store)} reports, {len(entries)} reference pairs, "
-        f"{similarity.n_pairs()} similar event pairs"
-    )
-
     config = RunConfig(
         methods=(METHOD_IC, METHOD_SSM),
         n_samples=20_000,
         seed=4,
         drug_filter=frozenset({"D000"}),  # the scenario plants only on D000
     )
+    similarity = build_similarity(ontology, min_ssm=config.min_ssm)
+    print(
+        f"{len(store)} reports, {len(entries)} reference pairs, "
+        f"{similarity.n_pairs()} similar event pairs"
+    )
+
     ctx = RunContext(
         store=store, config=config, similarity=similarity, ontology=ontology
     )

@@ -53,7 +53,7 @@ def default_prior(table: ContingencyTable) -> tuple[float, float, float, float]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IcPosterior:
     """Monte Carlo summary of the posterior information component."""
 
@@ -124,12 +124,21 @@ def posterior_ic(
     variance = dev.sum() / (n_samples - 1)
     v_low, v_high = (n_samples - 1) * 0.025, (n_samples - 1) * 0.975
     i_low, i_high = int(v_low), int(v_high)
-    ic.partition((i_low, i_low + 1, i_high, i_high + 1))
+    # Order statistics i_low, i_low + 1, i_high and i_high + 1: a selection
+    # at i_low, the least draw above it, a selection at i_high among the
+    # draws above i_low, and the least draw above that. The same values as
+    # one partition at all four kth, in fewer passes over the draws.
+    ic.partition(i_low)
+    upper = ic[i_low + 1 :]
+    low_next = float(upper.min())
+    k = i_high - i_low - 1
+    upper.partition(k)
+    high_next = float(upper[k + 1 :].min())
     return IcPosterior(
         pme=float(pme),
         variance=float(variance),
-        ci_low=_lerp(ic.item(i_low), ic.item(i_low + 1), v_low - i_low),
-        ci_high=_lerp(ic.item(i_high), ic.item(i_high + 1), v_high - i_high),
+        ci_low=_lerp(ic.item(i_low), low_next, v_low - i_low),
+        ci_high=_lerp(upper.item(k), high_next, v_high - i_high),
         n_samples=n_samples,
         n_floored=n_floored,
     )

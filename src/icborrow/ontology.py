@@ -332,9 +332,12 @@ class SimilarityMatrix:
 
 
 def build_similarity(
-    ont: Ontology, pts: list[str] | None = None, min_ssm: float = 0.3
+    ont: Ontology, pts: list[str] | None = None, *, min_ssm: float
 ) -> SimilarityMatrix:
     """Sokal-Sneath over the given PTs, keeping values > min_ssm.
+
+    ``min_ssm`` has no default here: a screen's cutoff is its
+    ``RunConfig.min_ssm``, and the matrix must be built at or below it.
 
     Only pairs that can clear the threshold are scored. The MICA is an
     ancestor of both codes and intrinsic IC falls strictly towards the

@@ -186,7 +186,7 @@ def config_snapshot(cfg: RunConfig) -> str:
     return "".join(f"{k} = {v}\n" for k, v in sorted(items.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairResult:
     """One method's verdict on one (drug, event) pair at one cutoff."""
 

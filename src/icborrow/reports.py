@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import logging
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -17,10 +15,10 @@ from .quarters import Quarter
 
 log = logging.getLogger(__name__)
 
-# Report text parsed at a time, in characters (the ``readlines`` hint of a
-# text stream). Larger blocks load no faster, and a whole block's strings
-# are alive at once: at a million characters a 3000-row file left the
-# process 0.6 MB larger than a line-by-line parse did.
+# Report text read at a time, in characters; the whole lines read so far
+# are parsed together. Larger blocks load little faster, and a whole
+# block's text, its UTF-8 bytes and the positions found in them are alive
+# at once, which ``test_load_peak_per_report`` bounds.
 _BLOCK_CHARS = 1 << 15
 
 
@@ -71,11 +69,11 @@ class ContingencyTable:
 class _Columns:
     """Reports as flat integer columns, the input of ``ReportStore``.
 
-    Drug and event codes are numbered on first sight. Per record it keeps
-    the quarter ordinal and how many distinct drugs and events the report
-    names; ``drugs`` and ``events`` hold the codes themselves in record
-    order. Any integer dtype will do: the store casts each column to its
-    own index dtype as it takes it.
+    Drug and event codes are numbered in any order: the store ranks them
+    by name. Per record it keeps the quarter ordinal and how many distinct
+    drugs and events the report names; ``drugs`` and ``events`` hold the
+    codes themselves in record order. Any integer dtype will do: the store
+    casts each column to its own index dtype as it takes it.
     """
 
     drug_codes: dict[str, int]
@@ -113,10 +111,15 @@ def _cumulative(
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal values starts in ``values``, as a mask."""
+    """Where each run of equal values starts in ``values``, as a mask.
+
+    ``values`` may be a bytes array, as the wide keys of ``_FieldValues``
+    are: the ``!=`` operator compares those on every numpy from the 1.24
+    floor on, where the ``np.not_equal`` ufunc may have no bytes loop.
+    """
     starts = np.empty(len(values), dtype=bool)
     starts[:1] = True
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    starts[1:] = values[1:] != values[:-1]
     return starts
 
 
@@ -341,9 +344,13 @@ def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
     names its line number, counting every physical line, comments and blank
     lines included.
 
-    The file is parsed in blocks of about 32k characters with string and
-    numpy operations over the whole block, so the parse holds one block of
-    text at a time, however long the file is. Each row is kept as integer
+    The file is read as text in blocks of about 32k characters, so
+    universal newlines and UTF-8 errors are those of a text stream, and
+    each block's whole lines are parsed as UTF-8 bytes with numpy: tabs,
+    newlines and ``;`` are found in one pass each, and Python sees only a
+    line that starts with whitespace or a non-ASCII character, and each
+    quarter text and code the first time it occurs. The parse holds one
+    block at a time, however long the file is. Each row is kept as integer
     columns and its report id as UTF-8 bytes, not as a Python object: ids
     of one length share a bytes array that wide, and duplicates are found
     by one sort per length. The columns are int32 (the quarter ordinal,
@@ -358,9 +365,114 @@ def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
     """
     loader = _BlockLoader(path)
     with open(path, encoding="utf-8") as fh:
-        while lines := fh.readlines(_BLOCK_CHARS):
-            loader.add(lines)
+        pending: list[str] = []  # text read since the last newline
+        while text := fh.read(_BLOCK_CHARS):
+            cut = text.rfind("\n") + 1
+            if cut:
+                loader.add("".join(pending) + text[:cut])
+                pending.clear()
+            pending.append(text[cut:])
+        if last := "".join(pending):  # a last line without a newline
+            loader.add(last + "\n")
     return loader.store(ontology)
+
+
+# What the first byte of a line says of the skip rule: the line is a row,
+# a line to skip (empty, or a comment), or one that ``str.lstrip`` must
+# judge, since it starts with ASCII whitespace or a non-ASCII character.
+_ROW, _SKIP, _ASK = 0, 1, 2
+_FIRST_BYTE = np.array(
+    [_ASK if c > 127 or chr(c).isspace() else _ROW for c in range(256)], dtype=np.uint8
+)
+_FIRST_BYTE[[ord("\n"), ord("#")]] = _SKIP
+_NEWLINE, _TAB, _SEMICOLON = ord("\n"), ord("\t"), ord(";")
+
+# Field keys are built a word of 8 bytes at a time. _KEEP[n] keeps the
+# first n bytes of a word, in memory order, and _FILL[n] sets the rest to
+# 0xFF, a byte that UTF-8 never uses.
+_KEEP = np.frombuffer(
+    b"".join(b"\xff" * n + b"\0" * (8 - n) for n in range(9)), dtype=np.uint64
+)
+_FILL = ~_KEEP
+
+
+class _FieldValues:
+    """An integer for each text field, and every distinct text seen.
+
+    ``parse`` gives a new text its value; without it, texts are numbered
+    in the order they are first looked up. A field of L bytes is keyed by
+    its bytes padded with 0xFF to the next multiple of 8: a uint64 up to 8
+    bytes, a bytes scalar beyond. Equal keys of one width are equal texts,
+    so per width a sorted table of the keys seen gives each field its
+    value, and Python decodes only the keys the table lacks.
+    """
+
+    def __init__(self, parse: Callable[[str], int] | None = None):
+        self.parse = parse
+        self.names: dict[str, int] = {}  # text -> value
+        # Per key width in words, the sorted keys seen and their values.
+        self.tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __call__(self, buf: bytes, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+        """The value of each field ``buf[start:start + length]``, ``length``
+        at least 1, as int64. ``buf`` holds 7 bytes past the last field.
+        ``parse`` errors are raised as they come."""
+        words = (length + 7) >> 3
+        if (words == words[0]).all():
+            return self._values(buf, start, length, int(words[0]))
+        values = np.empty(len(start), dtype=np.int64)
+        for n_words in _distinct(words).tolist():
+            at = words == n_words
+            values[at] = self._values(buf, start[at], length[at], n_words)
+        return values
+
+    def _values(
+        self, buf: bytes, start: np.ndarray, length: np.ndarray, n_words: int
+    ) -> np.ndarray:
+        """``__call__`` for fields of ``n_words`` words each."""
+        # Every 8 bytes of buf, as a (mostly unaligned) uint64.
+        windows = np.ndarray(
+            (len(buf) - 7,), dtype=np.uint64, buffer=buf, strides=(1,)
+        )
+        last = n_words - 1  # the words before it are whole
+        keys = windows[start + 8 * last]
+        left = length - 8 * last
+        keys &= _KEEP[left]
+        keys |= _FILL[left]
+        if n_words > 1:
+            whole = np.empty((len(start), n_words), dtype=np.uint64)
+            for j in range(last):
+                whole[:, j] = windows[start + 8 * j]
+            whole[:, last] = keys
+            keys = whole.view(f"S{8 * n_words}").ravel()
+        table = self.tables.get(n_words)
+        if table is not None:
+            known, values = table
+            at = known.searchsorted(keys)
+            np.minimum(at, len(known) - 1, out=at)
+            hit = known[at] == keys
+            if hit.all():
+                return values[at]
+            new = _distinct(keys[~hit])
+        else:
+            known, values = keys[:0], np.zeros(0, dtype=np.int64)
+            new = _distinct(keys)
+        blob, size = new.tobytes(), 8 * n_words
+        texts = [
+            blob[i : i + size].rstrip(b"\xff").decode("utf-8")
+            for i in range(0, len(blob), size)
+        ]
+        added = np.fromiter(map(self._value, texts), dtype=np.int64, count=len(texts))
+        known = np.concatenate((known, new))
+        order = known.argsort()
+        known, values = known[order], np.concatenate((values, added))[order]
+        self.tables[n_words] = known, values
+        return values[known.searchsorted(keys)]
+
+    def _value(self, text: str) -> int:
+        value = len(self.names) if self.parse is None else self.parse(text)
+        self.names[text] = value
+        return value
 
 
 class _BlockLoader:
@@ -368,102 +480,106 @@ class _BlockLoader:
 
     def __init__(self, path: str):
         self.path = path
-        self.drug_codes: dict[str, int] = {}
-        self.event_codes: dict[str, int] = {}
-        self.quarter_memo: dict[str, int] = {}  # quarter text -> ordinal
+        self.drugs = _FieldValues()
+        self.events = _FieldValues()
+        self.quarters = _FieldValues(lambda text: Quarter.parse(text).ordinal)
         # Report ids, each with a tab, UTF-8, by their length in bytes: per
         # length, a bytes array that wide for each block; and per block, the
         # length of each record's id.
         self.ids: dict[int, list[np.ndarray]] = {}
         self.id_widths: list[np.ndarray] = [np.zeros(0, dtype=np.uint8)]
-        self.record_line = array("i")  # record index -> physical line number
+        # Per block, the physical line number of each record.
+        self.record_line: list[np.ndarray] = [np.zeros(0, dtype=np.int32)]
         self.warnings: list[str] = []
         # Per column (quarter, n_drugs, n_events, drugs, events), its blocks.
         self.columns = tuple([np.zeros(0, dtype=np.int32)] for _ in range(5))
         self.lines_read = 0
 
-    def add(self, lines: list[str]) -> None:
-        """Parse the next lines of the file; raise on the first bad row."""
-        first_line = self.lines_read + 1
-        self.lines_read += len(lines)
-        if self.lines_read >= 1 << 31 and self.record_line.typecode == "i":
-            self.record_line = array("q", self.record_line)
-        linenos = [
-            no
-            for no, raw in enumerate(lines, first_line)
-            if raw.lstrip()[:1] not in ("", "#")
-        ]
-        if not linenos:
+    def add(self, text: str) -> None:
+        """Parse the next lines of the file, each ending in a newline; raise
+        on the first bad row."""
+        buf = (text + "\0" * 7).encode("utf-8")  # 7 bytes for the last key's word
+        arr = np.frombuffer(buf, dtype=np.uint8, count=len(buf) - 7)
+        ends = np.flatnonzero(arr == _NEWLINE)
+        starts = np.empty_like(ends)
+        starts[:1] = 0
+        np.add(ends[:-1], 1, out=starts[1:])
+        kind = _FIRST_BYTE[arr[starts]]
+        ask = np.flatnonzero(kind == _ASK)
+        for i, s, e in zip(ask.tolist(), starts[ask].tolist(), ends[ask].tolist()):
+            head = buf[s:e].decode("utf-8").lstrip()[:1]
+            kind[i] = _SKIP if head in ("", "#") else _ROW
+        rows = np.flatnonzero(kind == _ROW)
+        lines = rows + (self.lines_read + 1)
+        self.lines_read += len(ends)
+        if not len(rows):
             return
-        rows = lines
-        if len(linenos) < len(lines):
-            rows = [lines[no - first_line] for no in linenos]
-        if not rows[-1].endswith("\n"):  # the file's last line
-            rows[-1] += "\n"
-        self.record_line.extend(linenos)
-        parsed = self._parse(rows)
+        start, end = starts[rows], ends[rows]
+        parsed = self._parse_rows(buf, arr, start, end)
         if parsed is None:
-            bad, msg = _first_bad_row(rows)
-            good_ids = [row.split("\t", 1)[0] for row in rows[:bad]]
-            self._add_ids(good_ids)
+            row_text = text.split("\n")
+            bad, msg = _first_bad_row([row_text[i] for i in rows.tolist()])
+            # The rows above it are whole, so each id ends at its first tab.
+            tabs = np.flatnonzero(arr == _TAB)
+            start = start[:bad]
+            self._add_records(lines[:bad], buf, start, tabs[tabs.searchsorted(start)])
             self._replaced()  # rows above it still warn
-            raise ValidationError(f"{self.path}:{linenos[bad]}: {msg}")
-        ids, columns = parsed
-        self._add_ids(ids)
+            raise ValidationError(f"{self.path}:{lines[bad]}: {msg}")
+        id_end, columns = parsed
+        self._add_records(lines, buf, start, id_end)
         for blocks, column in zip(self.columns, columns):
             blocks.append(column)
 
-    def _parse(self, rows: list[str]) -> tuple[list[str], tuple] | None:
-        """The report ids and columns of rows ending in newlines, or None
-        if one is malformed. New quarter texts and codes join the maps."""
-        n = len(rows)
-        # Each row's last field ends with its newline: the rows have 4
-        # fields each exactly when there are 4n fields and the n newlines
-        # all fall in fields 3, 7, 11, ... (4n alone also fits 3 + 5 fields).
-        fields = "\t".join(rows).split("\t")
-        event_text = "".join(fields[3::4])
-        if len(fields) != 4 * n or event_text.count("\n") != n:
+    def _parse_rows(
+        self, buf: bytes, arr: np.ndarray, start: np.ndarray, end: np.ndarray
+    ) -> tuple[np.ndarray, tuple] | None:
+        """Where each row's id ends, and the row's columns, or None if a row
+        is malformed. Rows are ``arr[start:end]``. New quarter texts and
+        codes join the loader's tables."""
+        tabs = np.flatnonzero(arr == _TAB)
+        first = tabs.searchsorted(start)
+        if (tabs.searchsorted(end) - first != 3).any():
             return None
-        ids, quarter_texts = fields[0::4], fields[1::4]
-        if "" in ids:
+        id_end, quarter_end, drugs_end = tabs[first], tabs[first + 1], tabs[first + 2]
+        quarter_len = quarter_end - id_end - 1
+        if (id_end == start).any() or not quarter_len.all():
             return None
-        memo = self.quarter_memo
-        for text in set(quarter_texts).difference(memo):
-            try:
-                memo[text] = Quarter.parse(text).ordinal
-            except ValidationError:
-                return None
-        drug_fields = fields[2::4]
-        drugs, n_drugs = _code_column(
-            drug_fields, ";".join(drug_fields), self.drug_codes
-        )
-        events, n_events = _code_column(
-            fields[3::4], event_text[:-1].replace("\n", ";"), self.event_codes
-        )
-        if not (n_drugs.all() and n_events.all()):
+        try:
+            # Ordinals of 4-digit years are below 40000.
+            quarter = self.quarters(buf, id_end + 1, quarter_len).astype(np.int32)
+        except ValidationError:
             return None
-        # Ordinals of 4-digit years are below 40000.
-        quarter = np.fromiter(
-            map(memo.__getitem__, quarter_texts), dtype=np.int32, count=n
-        )
-        return ids, (quarter, n_drugs, n_events, drugs, events)
+        semis = np.flatnonzero(arr == _SEMICOLON)
+        drugs = _code_column(self.drugs, buf, semis, quarter_end + 1, drugs_end)
+        events = _code_column(self.events, buf, semis, drugs_end + 1, end)
+        if drugs is None or events is None:
+            return None
+        (drug_code, n_drugs), (event_code, n_events) = drugs, events
+        return id_end, (quarter, n_drugs, n_events, drug_code, event_code)
 
-    def _add_ids(self, ids: list[str]) -> None:
-        """File the ids of the next records by their length.
+    def _add_records(
+        self, lines: np.ndarray, buf: bytes, start: np.ndarray, id_end: np.ndarray
+    ) -> None:
+        """File the next records: their line numbers, and their ids
+        ``buf[start:id_end]`` by length.
 
         A field holds no tab or newline. The tab after each id keeps the
         length of an id that ends in NULs, which numpy's bytes type strips.
         """
-        if not ids:
+        if not len(lines):
             return
-        text = np.array(("\t\n".join(ids) + "\t").encode("utf-8").split(b"\n"))
-        width = np.char.str_len(text)
+        self.record_line.append(lines.astype(_index_dtype(self.lines_read)))
+        width = id_end - start + 1
         # One byte a record in a block whose ids are all under 255 bytes.
         self.id_widths.append(width.astype(np.min_scalar_type(width.max())))
-        order = np.argsort(width, kind="stable")
-        for part in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
-            w = int(width[part[0]])
-            self.ids.setdefault(w, []).append(text[part].astype(f"S{w}"))
+        widths = _distinct(width).tolist()
+        for w in widths:
+            # Every w bytes of the block, as a bytes scalar.
+            windows = np.ndarray(
+                (len(buf) - w + 1,), dtype=f"S{w}", buffer=buf, strides=(1,)
+            )
+            at = start if len(widths) == 1 else start[width == w]
+            self.ids.setdefault(w, []).append(windows[at])
 
     def _replaced(self) -> np.ndarray:
         """The records whose id a later record reuses, warning of each
@@ -489,7 +605,7 @@ class _BlockLoader:
                 )
         del self.ids, self.id_widths
         found.sort()
-        record_line = self.record_line
+        record_line = np.concatenate(self.record_line) if found else None
         for record, previous, report_id in found:
             msg = (
                 f"duplicate report id {report_id.decode('utf-8')[:-1]!r} at line "
@@ -502,16 +618,17 @@ class _BlockLoader:
     def store(self, ontology: Ontology | None) -> ReportStore:
         """The store of every block added; the loader is spent after it."""
         replaced = self._replaced()
+        drug_codes, event_codes = self.drugs.names, self.events.names
         if ontology is not None:
-            for code in sorted(set(self.event_codes) - set(ontology.pts())):
+            for code in sorted(set(event_codes) - set(ontology.pts())):
                 msg = f"event code {code!r} not present in the ontology"
                 log.warning("%s: %s", self.path, msg)
                 self.warnings.append(msg)
-        alive = np.ones(len(self.record_line), dtype=bool)
+        alive = np.ones(sum(map(len, self.record_line)), dtype=bool)
         alive[replaced] = False
         del replaced, self.record_line
         # One column at a time, each one's blocks freed once it is joined.
-        cols = _Columns(self.drug_codes, self.event_codes, *map(_joined, self.columns))
+        cols = _Columns(drug_codes, event_codes, *map(_joined, self.columns))
         del self.columns
         return ReportStore(cols, alive, self.warnings)
 
@@ -524,41 +641,49 @@ def _joined(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def _code_column(
-    fields: list[str], codes_text: str, codes: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct codes of each row, numbered, and how many each row has.
+    values: _FieldValues,
+    buf: bytes,
+    semis: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct codes of each field ``buf[start:end]``, numbered, and
+    how many each field has; None if a field has none.
 
-    ``codes_text`` is the fields joined by ``;``. New names are numbered in
-    order of first sight. Empty codes are dropped and a code repeated within
-    a row is kept once; only a block with an empty code or a row of several
-    codes is sorted for that. Skipping the sort for blocks of one-code rows
-    took a 150k-row file of such rows from 0.52 to 0.38 s on 2 vCPUs.
+    ``semis`` holds the block's ``;`` positions; those inside a field split
+    its codes. Empty codes are dropped and a code repeated within a field
+    is kept once; only a block with an empty code or a field of several
+    codes is sorted for that.
     """
-    names = codes_text.split(";")
-    new = set(names).difference(codes)
-    new.discard("")
-    if new:
-        for name in dict.fromkeys(names):
-            if name in new:
-                codes[name] = len(codes)
-    dtype = _index_dtype(max(len(codes), len(names)))
-    code = np.fromiter(map(codes.get, names, repeat(-1)), dtype=dtype, count=len(names))
-    if len(names) == len(fields):  # one code per row: nothing repeats
-        per_row = np.ones(len(fields), dtype=dtype)
-        if code.min() >= 0:
-            return code, per_row
-    else:
-        per_row = np.fromiter(
-            map(str.count, fields, repeat(";")), dtype=dtype, count=len(fields)
-        )
-        per_row += 1
-    # One key per (row, code), with empty codes (-1) at 0 within their row.
-    width = len(codes) + 1
-    row = np.repeat(np.arange(len(fields), dtype=np.int64), per_row)
-    key = _distinct(row * width + code + 1)
-    key = key[key % width != 0]
-    per_row = np.bincount(key // width, minlength=len(fields))
-    return (key % width - 1).astype(dtype), per_row.astype(dtype)
+    n = len(start)
+    row = None  # the field of each code, when some field has several
+    if len(semis):
+        field = start.searchsorted(semis, "right") - 1
+        inside = (field >= 0) & (semis < end[field])
+        if inside.any():
+            cut, field = semis[inside], field[inside]
+            start = np.sort(np.concatenate((start, cut + 1)))
+            end = np.sort(np.concatenate((cut, end)))
+            row = np.repeat(np.arange(n), np.bincount(field, minlength=n) + 1)
+    length = end - start
+    if row is None and length.all():  # one code per field: nothing repeats
+        code = values(buf, start, length)
+        dtype = _index_dtype(len(values.names))
+        return code.astype(dtype), np.ones(n, dtype=dtype)
+    if row is None:
+        row = np.arange(n)
+    kept = length > 0
+    if not kept.any():
+        return None
+    code = values(buf, start[kept], length[kept])
+    # One key per (field, code): the distinct ones, in field order.
+    width = len(values.names)
+    key = _distinct(row[kept] * width + code)
+    per_row = np.bincount(key // width, minlength=n)
+    if not per_row.all():
+        return None
+    dtype = _index_dtype(max(width, len(key)))
+    return (key % width).astype(dtype), per_row.astype(dtype)
 
 
 def _first_bad_row(rows: list[str]) -> tuple[int, str]:

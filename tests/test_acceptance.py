@@ -282,7 +282,7 @@ def _concordant_seed_outcome(seed: int, workdir: str) -> tuple[bool, bool]:
     generate(scenario, outdir)
     ontology = load_ontology(os.path.join(outdir, "ontology.tsv"))
     store = load_reports(os.path.join(outdir, "reports.tsv"), ontology)
-    similarity = build_similarity(ontology)
+    similarity = build_similarity(ontology, min_ssm=0.3)
     config = RunConfig(
         methods=(METHOD_IC, METHOD_SSM),
         n_samples=20_000,
@@ -326,7 +326,7 @@ def test_borrowing_direction_on_synthetic_scenarios(tmp_path):
         generate(replace(PRESETS["null"], seed=seed), str(outdir))
         ontology = load_ontology(str(outdir / "ontology.tsv"))
         store = load_reports(str(outdir / "reports.tsv"), ontology)
-        similarity = build_similarity(ontology)
+        similarity = build_similarity(ontology, min_ssm=0.3)
         final = store.quarters()[-1]
         config = RunConfig(
             methods=(METHOD_SSM,), n_samples=20_000, seed=seed, start=final, end=final

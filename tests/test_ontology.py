@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icborrow import build_similarity, load_ontology
+from icborrow import RunConfig, build_similarity, load_ontology
 from icborrow.errors import CycleError, ValidationError
 from icborrow.ontology import LEVELS
 
@@ -189,7 +189,7 @@ def test_similarity_matrix_threshold(chain_ontology):
     # 0.2 pair survives at threshold 0, is dropped at the 0.3 default
     open_matrix = build_similarity(chain_ontology, min_ssm=0.0)
     assert similarity_of(open_matrix, "L1", "L2") == pytest.approx(0.2)
-    default = build_similarity(chain_ontology)
+    default = build_similarity(chain_ontology, min_ssm=RunConfig().min_ssm)
     assert similarity_of(default, "L1", "L2") == 0.0
     assert default.n_pairs() == 0
     assert similarity_of(default, "L1", "L1") == 1.0

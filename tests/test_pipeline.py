@@ -38,7 +38,7 @@ def basic_run(tmp_path_factory):
     generate(replace(PRESETS["basic"], seed=3), str(outdir))
     store = load_reports(str(outdir / "reports.tsv"))
     ontology = load_ontology(str(outdir / "ontology.tsv"))
-    similarity = build_similarity(ontology)
+    similarity = build_similarity(ontology, min_ssm=0.3)
     return store, ontology, similarity
 
 
@@ -53,7 +53,7 @@ def concordant_run(tmp_path_factory):
     manifest = generate(replace(PRESETS["concordant"], seed=7), str(outdir))
     store = load_reports(str(outdir / "reports.tsv"))
     ontology = load_ontology(str(outdir / "ontology.tsv"))
-    similarity = build_similarity(ontology)
+    similarity = build_similarity(ontology, min_ssm=0.3)
     cfg = RunConfig(
         methods=(METHOD_IC, METHOD_SSM),
         n_samples=10_000,
@@ -376,7 +376,7 @@ def test_no_sources_leaves_borrow_columns_blank(
     tmp_path, six_report_store, chain_ontology
 ):
     # at the default 0.3 cutoff the chain ontology has no qualifying pairs
-    similarity = build_similarity(chain_ontology)
+    similarity = build_similarity(chain_ontology, min_ssm=0.3)
     ctx = RunContext(
         six_report_store,
         small_config(start=Q("2015Q4"), end=Q("2015Q4")),

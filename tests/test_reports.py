@@ -368,13 +368,22 @@ def test_loaded_counts_match_rescan_across_gaps_and_duplicates(tmp_path_factory,
 
 # Codes may hold characters that str.splitlines() would break on; a file
 # line ends only at \n, \r\n or \r, so these stay inside their field.
-FILE_CODES = ["D1", "D2", "E1", "L1", "X\x1cY", "P Q", "V\x0bW"]
+# Codes of exactly 8 UTF-8 bytes and of more (two that differ only past
+# their first 8), and non-ASCII ones, take every width of key the loader
+# builds.
+FILE_CODES = [
+    "D1", "D2", "E1", "L1", "X\x1cY", "P Q", "V\x0bW",
+    "EXACTLY8", "LONGER_THAN_8", "LONGER_THAN_9", "Ü", "ÉÉÉÉÉ",
+]
 # Ids that differ only by a trailing NUL, by a prefix or by an inner
-# space, and one that is not ASCII.
-REPORT_IDS = [f"R{i}" for i in range(10)] + ["R1\x00", "R10", "Ré", "R 1"]
+# space, and ones that are not ASCII, at the end and at the start.
+REPORT_IDS = [f"R{i}" for i in range(10)] + ["R1\x00", "R10", "Ré", "R 1", "éR"]
 # Comments (some with tabs), blank and whitespace-only lines, and
-# indented comments; \x1c is whitespace to str.lstrip().
-SKIPPED_LINES = ["#", "# note", "#\tx\ty", "", " ", " \t ", "\x1c", "  # x", "\t#\tx"]
+# indented comments; \x1c, \xa0 and \u3000 are whitespace to str.lstrip().
+SKIPPED_LINES = [
+    "#", "# note", "#\tx\ty", "", " ", " \t ", "\x1c", "  # x", "\t#\tx",
+    "\xa0# x", "\u3000",
+]
 MALFORMED_ROWS = {
     "3 fields": ["R9\t2015Q1\tD1"],
     "5 fields": ["R9\t2015Q1\tD1\tE1\tE2"],
