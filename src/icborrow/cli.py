@@ -18,7 +18,7 @@ import shutil
 import sys
 
 from ._version import __version__
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, open_text
 from .evaluate import (
     MIN_BOOTSTRAP_ITER,
     POSITIVE,
@@ -58,7 +58,8 @@ log = logging.getLogger(__name__)
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    first_line: dict[str, int] = {}
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -66,7 +67,14 @@ def _read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in first_line:
+                raise ValidationError(
+                    f"{path}:{lineno}: key {key!r} given twice, first at line "
+                    f"{first_line[key]}"
+                )
+            first_line[key] = lineno
+            values[key] = value.strip()
     return values
 
 
@@ -92,7 +100,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 def _read_code_list(path: str) -> list[str]:
     codes = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for raw in fh:
             line = raw.strip()
             if line and not line.startswith("#"):

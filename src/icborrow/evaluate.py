@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 from .ontology import Ontology, build_similarity
 from .pipeline import METHOD_SSM, RunConfig, RunContext, run_quarters
 from .quarters import Quarter
@@ -47,7 +47,7 @@ def load_reference(path: str) -> list[ReferenceEntry]:
     """
     entries: list[ReferenceEntry] = []
     seen: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -134,17 +134,34 @@ class MetricsReport:
         return cls(tp, fp, tn, fn, se, sp, ppv, f1, youden)
 
 
-_TP, _FN, _IGNORED = "tp", "fn", "ignored"
+# The columns of _cells, and the all-zero row of an entry with no cell.
+_TP, _FP, _TN, _FN, _NO_CELL = range(5)
+_ONE_HOT = np.eye(5, 4, dtype=np.int64)
 
 
-def _classify_positive(
-    entry: ReferenceEntry, alert: Quarter | None, strict_before: bool
-) -> str:
-    if alert is None:
-        return _FN
-    assert entry.label_quarter is not None
-    hit = alert < entry.label_quarter if strict_before else alert <= entry.label_quarter
-    return _TP if hit else _IGNORED
+def _cells(
+    alerts: Alerts, entries: list[ReferenceEntry], strict_before: bool
+) -> np.ndarray:
+    """Each entry's confusion cell as an (n, 4) 0/1 matrix, columns tp, fp,
+    tn, fn.
+
+    A never-alerted positive is fn and an earlier-alerted one tp; a positive
+    alerted at or after its label quarter (after it, when not
+    ``strict_before``) has no cell and its row is all zero. A negative is fp
+    when alerted at any time and tn otherwise.
+    """
+    cells = []
+    for e in entries:
+        alert = alerts.get((e.drug, e.pt))
+        if e.kind == NEGATIVE:
+            cells.append(_TN if alert is None else _FP)
+        elif alert is None:
+            cells.append(_FN)
+        else:
+            label = e.label_quarter
+            hit = alert < label if strict_before else alert <= label
+            cells.append(_TP if hit else _NO_CELL)
+    return _ONE_HOT[np.array(cells, dtype=np.intp)]
 
 
 def score(
@@ -156,21 +173,8 @@ def score(
     negatives (negatives); positives alerted at/after their label quarter
     drop out of all four cells.
     """
-    tp = fp = tn = fn = 0
-    for e in entries:
-        alert = alerts.get((e.drug, e.pt))
-        if e.kind == POSITIVE:
-            cls = _classify_positive(e, alert, strict_before)
-            if cls == _TP:
-                tp += 1
-            elif cls == _FN:
-                fn += 1
-        else:
-            if alert is None:
-                tn += 1
-            else:
-                fp += 1
-    return MetricsReport.from_counts(tp, fp, tn, fn)
+    counts = _cells(alerts, entries, strict_before).sum(axis=0)
+    return MetricsReport.from_counts(*counts.tolist())
 
 
 def quarterly_curves(
@@ -233,35 +237,24 @@ def compare_methods(
     if latest is None:
         raise ValidationError("comparison needs at least one positive control")
     imputed_quarter = latest + 1
-    both = only_a = only_b = neither = 0
+    cells_a = _cells(alerts_a, positives, strict_before)
+    cells_b = _cells(alerts_b, positives, strict_before)
+    kept = cells_a.any(axis=1) & cells_b.any(axis=1)
+    hit_a, hit_b = cells_a[:, _TP] == 1, cells_b[:, _TP] == 1
+    neither, only_b, only_a, both = np.bincount(
+        2 * hit_a[kept] + hit_b[kept], minlength=4
+    ).tolist()
     observed: Counter = Counter()
     imputed: Counter = Counter()
     deltas: list[int] = []
-    for e in positives:
-        fa = alerts_a.get((e.drug, e.pt))
-        fb = alerts_b.get((e.drug, e.pt))
-        ca = _classify_positive(e, fa, strict_before)
-        cb = _classify_positive(e, fb, strict_before)
-        if _IGNORED in (ca, cb):
-            continue
-        hit_a, hit_b = ca == _TP, cb == _TP
-        if hit_a and hit_b:
-            both += 1
-            delta = fb - fa  # type: ignore[operator]
-            observed[delta] += 1
-            deltas.append(delta)
-        elif hit_a:
-            only_a += 1
-            delta = imputed_quarter - fa  # type: ignore[operator]
-            imputed[delta] += 1
-            deltas.append(delta)
-        elif hit_b:
-            only_b += 1
-            delta = fb - imputed_quarter  # type: ignore[operator]
-            imputed[delta] += 1
-            deltas.append(delta)
-        else:
-            neither += 1
+    for i in np.flatnonzero(kept & (hit_a | hit_b)).tolist():
+        pair = (positives[i].drug, positives[i].pt)
+        # A method that missed takes the imputed quarter.
+        fa = alerts_a[pair] if hit_a[i] else imputed_quarter
+        fb = alerts_b[pair] if hit_b[i] else imputed_quarter
+        delta = fb - fa
+        (observed if hit_a[i] and hit_b[i] else imputed)[delta] += 1
+        deltas.append(delta)
     mean_delta = float(np.mean(deltas)) if deltas else None
     return Comparison(
         method_a=method_a,
@@ -292,10 +285,12 @@ def bootstrap(
 ) -> dict:
     """Resample reference entries with replacement; tally pairwise superiority.
 
-    For each ordered method pair and metric, reports the fraction of
-    iterations where the first method's value beats the second's; ties (and
-    undefined values on both sides) count one half, so identical inputs give
-    exactly 0.5. Deterministic for a given seed.
+    Each method's entries are put in their confusion cells once; a resample
+    counts each entry's cell as many times as it draws the entry. For each
+    ordered method pair and metric, reports the fraction of iterations where
+    the first method's value beats the second's; ties (and undefined values
+    on both sides) count one half, so identical inputs give exactly 0.5.
+    Deterministic for a given seed.
     """
     if n_iter < MIN_BOOTSTRAP_ITER:
         raise ValueError(f"n_iter must be >= {MIN_BOOTSTRAP_ITER}, got {n_iter}")
@@ -304,35 +299,28 @@ def bootstrap(
     n = len(entries)
     if n == 0:
         raise ValidationError("bootstrap needs a non-empty reference set")
-    wins: dict[tuple[str, str, str], float] = {
-        (a, b, m): 0.0 for a in methods for b in methods if a != b for m in _BOOT_METRICS
-    }
+    pairs = [(a, b) for a in methods for b in methods if a != b]
+    wins = {(a, b, m): 0.0 for a, b in pairs for m in _BOOT_METRICS}
+    cells = {m: _cells(alerts_by_method[m], entries, strict_before) for m in methods}
     for _ in range(n_iter):
-        idx = rng.integers(0, n, size=n)
-        sample = [entries[i] for i in idx]
+        # How many times the resample draws each entry.
+        weights = np.bincount(rng.integers(0, n, size=n), minlength=n)
         reports = {
-            m: score(alerts_by_method[m], sample, strict_before=strict_before)
+            m: MetricsReport.from_counts(*(weights @ cells[m]).tolist())
             for m in methods
         }
-        for a in methods:
-            for b in methods:
-                if a == b:
-                    continue
-                for metric in _BOOT_METRICS:
-                    va = getattr(reports[a], metric)
-                    vb = getattr(reports[b], metric)
-                    if va is None or vb is None or va == vb:
-                        wins[(a, b, metric)] += 0.5
-                    elif va > vb:
-                        wins[(a, b, metric)] += 1.0
-    fractions: dict[str, dict[str, float]] = {}
-    for a in methods:
-        for b in methods:
-            if a == b:
-                continue
-            fractions[f"{a}>{b}"] = {
-                m: wins[(a, b, m)] / n_iter for m in _BOOT_METRICS
-            }
+        for a, b in pairs:
+            for metric in _BOOT_METRICS:
+                va = getattr(reports[a], metric)
+                vb = getattr(reports[b], metric)
+                if va is None or vb is None or va == vb:
+                    wins[(a, b, metric)] += 0.5
+                elif va > vb:
+                    wins[(a, b, metric)] += 1.0
+    fractions = {
+        f"{a}>{b}": {m: wins[(a, b, m)] / n_iter for m in _BOOT_METRICS}
+        for a, b in pairs
+    }
     return {"n_iter": n_iter, "seed": seed, "fractions": fractions}
 
 

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import CycleError, ValidationError
+from .errors import CycleError, ValidationError, open_text
 
 log = logging.getLogger(__name__)
 
@@ -246,7 +246,7 @@ def load_ontology(path: str) -> Ontology:
     concepts: dict[str, Concept] = {}
     isa: dict[str, list[str]] = {}
     meddra: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -9,7 +9,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 from .ontology import Ontology
 from .quarters import Quarter
 
@@ -345,7 +345,8 @@ def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
     lines included.
 
     The file is read as text in blocks of about 32k characters, so
-    universal newlines and UTF-8 errors are those of a text stream, and
+    universal newlines are those of a text stream (a byte that is not UTF-8
+    is reported with its line, as ``errors.open_text`` counts it), and
     each block's whole lines are parsed as UTF-8 bytes with numpy: tabs,
     newlines and ``;`` are found in one pass each, and Python sees only a
     line that starts with whitespace or a non-ASCII character, and each
@@ -364,7 +365,7 @@ def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
     reports.
     """
     loader = _BlockLoader(path)
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         pending: list[str] = []  # text read since the last newline
         while text := fh.read(_BLOCK_CHARS):
             cut = text.rfind("\n") + 1

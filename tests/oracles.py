@@ -5,19 +5,22 @@ graph walks, digamma identities, dense grid searches, and quadrature. None
 of it shares code with the package under test, except that
 ``load_reports_by_line`` parses quarters with ``Quarter.parse`` and hands
 its columns to the package's own ``ReportStore`` build, so that a
-comparison covers the line parse alone.
+comparison covers the line parse alone, and that the scoring loops return
+the package's ``MetricsReport`` and ``Comparison`` records.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 from scipy.special import betainc, betaincinv, digamma
 
 from icborrow import Quarter
 from icborrow.errors import ValidationError
+from icborrow.evaluate import POSITIVE, Comparison, MetricsReport
 from icborrow.reports import ReportStore, _Columns
 
 
@@ -318,3 +321,119 @@ def grid_mixture(mu, v, w, vague_sd, ic, vic, n_points: int = 100_000):
     ci_low = float(np.interp(0.025, cdf, theta))
     ci_high = float(np.interp(0.975, cdf, theta))
     return mean, var, ci_low, ci_high, mass_inf / z
+
+
+# -- reference-set scoring -----------------------------------------------------------
+
+
+def loop_score(alerts, entries, strict_before: bool = True) -> MetricsReport:
+    """``evaluate.score`` as one branch per entry."""
+    tp = fp = tn = fn = 0
+    for e in entries:
+        alert = alerts.get((e.drug, e.pt))
+        if e.kind == POSITIVE:
+            if alert is None:
+                fn += 1
+            elif alert < e.label_quarter or (
+                not strict_before and alert == e.label_quarter
+            ):
+                tp += 1
+        elif alert is None:
+            tn += 1
+        else:
+            fp += 1
+    return MetricsReport.from_counts(tp, fp, tn, fn)
+
+
+def loop_quarterly_curves(alerts, entries, quarters) -> dict:
+    """``evaluate.quarterly_curves`` over ``loop_score``."""
+    return {
+        q: loop_score(
+            {pair: a for pair, a in alerts.items() if a <= q},
+            [e for e in entries if e.kind != POSITIVE or e.label_quarter > q],
+        )
+        for q in sorted(quarters)
+    }
+
+
+def loop_compare(
+    alerts_a, alerts_b, entries, method_a="A", method_b="B", strict_before=True
+) -> Comparison:
+    """``evaluate.compare_methods`` with one branch per overlap cell."""
+    positives = [e for e in entries if e.kind == POSITIVE]
+    if not positives:
+        raise ValidationError("comparison needs at least one positive control")
+    imputed_quarter = max(e.label_quarter for e in positives) + 1
+
+    def outcome(e, alert):
+        if alert is None:
+            return "fn"
+        if alert < e.label_quarter or (not strict_before and alert == e.label_quarter):
+            return "tp"
+        return "ignored"
+
+    both = only_a = only_b = neither = 0
+    observed: Counter = Counter()
+    imputed: Counter = Counter()
+    deltas: list[int] = []
+    for e in positives:
+        fa = alerts_a.get((e.drug, e.pt))
+        fb = alerts_b.get((e.drug, e.pt))
+        ca, cb = outcome(e, fa), outcome(e, fb)
+        if "ignored" in (ca, cb):
+            continue
+        if ca == "tp" and cb == "tp":
+            both += 1
+            observed[fb - fa] += 1
+            deltas.append(fb - fa)
+        elif ca == "tp":
+            only_a += 1
+            imputed[imputed_quarter - fa] += 1
+            deltas.append(imputed_quarter - fa)
+        elif cb == "tp":
+            only_b += 1
+            imputed[fb - imputed_quarter] += 1
+            deltas.append(fb - imputed_quarter)
+        else:
+            neither += 1
+    return Comparison(
+        method_a=method_a,
+        method_b=method_b,
+        both=both,
+        only_a=only_a,
+        only_b=only_b,
+        neither=neither,
+        mean_delta=float(np.mean(deltas)) if deltas else None,
+        deltas_observed=observed,
+        deltas_imputed=imputed,
+        n_imputed=sum(imputed.values()),
+    )
+
+
+def loop_bootstrap(
+    alerts_by_method, entries, n_iter=1000, seed=0, strict_before=True
+) -> dict:
+    """``evaluate.bootstrap`` by rebuilding and rescoring every resample."""
+    metrics = ("sensitivity", "specificity", "ppv", "f1", "youden")
+    methods = sorted(alerts_by_method)
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = len(entries)
+    pairs = [(a, b) for a in methods for b in methods if a != b]
+    wins = {(a, b, m): 0.0 for a, b in pairs for m in metrics}
+    for _ in range(n_iter):
+        sample = [entries[i] for i in rng.integers(0, n, size=n)]
+        reports = {
+            m: loop_score(alerts_by_method[m], sample, strict_before) for m in methods
+        }
+        for a, b in pairs:
+            for metric in metrics:
+                va = getattr(reports[a], metric)
+                vb = getattr(reports[b], metric)
+                if va is None or vb is None or va == vb:
+                    wins[(a, b, metric)] += 0.5
+                elif va > vb:
+                    wins[(a, b, metric)] += 1.0
+    fractions = {
+        f"{a}>{b}": {m: wins[(a, b, m)] / n_iter for m in metrics} for a, b in pairs
+    }
+    return {"n_iter": n_iter, "seed": seed, "fractions": fractions}

@@ -13,7 +13,7 @@ from icborrow.cli import build_parser, main
 from icborrow.errors import NumericalError
 from icborrow.pipeline import CONFIG_SCHEMA
 
-from conftest import MALFORMED_ECHOES, break_scenario_echo
+from conftest import CHAIN_ONTOLOGY, MALFORMED_ECHOES, SIX_REPORTS, break_scenario_echo
 
 BASE = [
     "--n-samples", "2000",
@@ -379,6 +379,66 @@ def test_reference_content_is_checked_before_loading(
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError" and err["message"] == message
     assert not out.exists()
+
+
+def test_config_file_rejects_a_key_named_twice(tmp_path, capsys):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "x"
+    cfg.write_text("seed = 1\n# the last value used to win\nseed = 2\n")
+    code = main(
+        ["run", "--reports", str(tmp_path / "missing.tsv"), "--out", str(out),
+         "--methods", "IC", "--config", str(cfg)]
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == f"{cfg}:3: key 'seed' given twice, first at line 1"
+    assert not out.exists()
+
+
+# Valid inputs for each of evaluate's five text readers.
+FIVE_INPUTS = {
+    "reports": SIX_REPORTS,
+    "ontology": CHAIN_ONTOLOGY,
+    "reference": "DRUG\tEV\tPOSITIVE\t2016Q1\n",
+    "drug-filter": "DRUG\n",
+    "config": "seed = 3\nn_samples = 2000\nmethods = IC\n",
+}
+
+
+@pytest.mark.parametrize("which", sorted(FIVE_INPUTS))
+@pytest.mark.parametrize(
+    "newline, pad",
+    [("\n", 0), ("\n", 4000), ("\r\n", 4000), ("\r", 4000)],
+    ids=["first-block", "past-32k", "crlf", "cr"],
+)
+def test_byte_that_is_not_utf8_names_file_and_line(
+    tmp_path, capsys, which, newline, pad
+):
+    # 4000 comment lines put the bad byte past the report loader's first
+    # 32k-character block, and past the line readers' first chunks.
+    paths = {}
+    for name, text in FIVE_INPUTS.items():
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(text.replace("\n", newline).encode())
+    valid = FIVE_INPUTS[which].splitlines()
+    lines = [line.encode() for line in valid + ["# padding"] * pad]
+    lines += [b"# caf\xe9", b"# after"]
+    paths[which].write_bytes(newline.encode().join(lines) + newline.encode())
+    out = tmp_path / "out"
+    code = main(
+        ["evaluate", "--out", str(out)]
+        + [arg for name, path in paths.items() for arg in (f"--{name}", str(path))]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    bad_line = len(valid) + pad + 1
+    assert payload["message"] == (
+        f"{paths[which]}:{bad_line}: byte 0xe9 is not UTF-8 "
+        "(invalid continuation byte)"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FIVE_INPUTS)
 
 
 def test_empty_drug_filter_is_rejected(dataset, tmp_path, capsys):

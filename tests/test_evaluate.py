@@ -2,6 +2,7 @@ import copy
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icborrow import (
     Comparison,
@@ -26,6 +27,8 @@ from icborrow.evaluate import (
     write_sweep_csv,
 )
 from icborrow.synth import PRESETS, generate
+
+from oracles import loop_bootstrap, loop_compare, loop_quarterly_curves, loop_score
 
 Q = Quarter.parse
 
@@ -259,6 +262,46 @@ def test_bootstrap_deterministic():
     one = bootstrap({"A": a, "B": b}, entries, n_iter=150, seed=4)
     two = bootstrap({"A": a, "B": b}, entries, n_iter=150, seed=4)
     assert one == two
+
+
+# Eight quarters, so alerts often land on a label quarter or one away from it.
+QUARTERS = [Q("2015Q1") + k for k in range(8)]
+
+
+@st.composite
+def scored_runs(draw):
+    """A reference of up to 20 entries and three methods' alert maps over its
+    pairs and one pair outside it."""
+    entries = []
+    for i in range(draw(st.integers(1, 20))):
+        label = draw(st.none() | st.sampled_from(QUARTERS))
+        kind = "NEGATIVE" if label is None else "POSITIVE"
+        entries.append(ReferenceEntry(draw(st.sampled_from("DE")), f"P{i}", kind, label))
+    pairs = st.sampled_from([(e.drug, e.pt) for e in entries] + [("D", "OUT")])
+    alerts = {
+        m: draw(st.dictionaries(pairs, st.sampled_from(QUARTERS))) for m in "ABC"
+    }
+    return entries, alerts
+
+
+@settings(max_examples=60, deadline=None)
+@given(scored_runs(), st.booleans(), st.integers(0, 2**32))
+def test_evaluators_match_the_loop_oracle(run, strict_before, seed):
+    entries, alerts = run
+    a, b = alerts["A"], alerts["B"]
+    assert score(a, entries, strict_before) == loop_score(a, entries, strict_before)
+    assert quarterly_curves(a, entries, QUARTERS) == loop_quarterly_curves(
+        a, entries, QUARTERS
+    )
+    if any(e.kind == "POSITIVE" for e in entries):
+        assert compare_methods(
+            a, b, entries, strict_before=strict_before
+        ) == loop_compare(a, b, entries, strict_before=strict_before)
+    assert bootstrap(
+        alerts, entries, n_iter=100, seed=seed, strict_before=strict_before
+    ) == loop_bootstrap(
+        alerts, entries, n_iter=100, seed=seed, strict_before=strict_before
+    )
 
 
 @pytest.fixture(scope="module")
