@@ -122,7 +122,6 @@ class MapPrior:
     mu: float
     v: float
     tau2: float
-    s_count: int
     converged: bool = True
 
 
@@ -140,7 +139,6 @@ def _pool(sources: list[BorrowSource], tau2: float) -> MapPrior:
         mu=float((w * ic).sum() / denom),
         v=float(w2.sum() / denom**2),
         tau2=tau2,
-        s_count=len(sources),
     )
 
 
@@ -160,16 +158,14 @@ def _reml_score(tau2: float, y: np.ndarray, v: np.ndarray) -> float:
 
 
 def reml_tau2(
-    ics: list[float] | np.ndarray,
-    vics: list[float] | np.ndarray,
-    tol: float = REML_TOL,
-    max_iter: int = REML_MAX_ITER,
+    ics: list[float] | np.ndarray, vics: list[float] | np.ndarray
 ) -> tuple[float, bool]:
     """REML between-source heterogeneity for the marginal model N(mu, vic_s + tau^2).
 
-    Solved as a Brent root of the profiled score; a non-positive score at
-    zero means tau^2 = 0 exactly (homogeneous sources). Returns
-    (tau2, converged); callers fall back to fixed-effect pooling on failure.
+    Solved as a Brent root of the profiled score, to ``REML_TOL`` within
+    ``REML_MAX_ITER`` iterations; a non-positive score at zero means
+    tau^2 = 0 exactly (homogeneous sources). Returns (tau2, converged);
+    callers fall back to fixed-effect pooling on failure.
     """
     y = np.asarray(ics, dtype=np.float64)
     v = np.asarray(vics, dtype=np.float64)
@@ -188,7 +184,11 @@ def reml_tau2(
         return math.nan, False
     try:
         root = _brentq(
-            lambda t: _reml_score(t, y, v), 0.0, hi, xtol=tol, maxiter=max_iter
+            lambda t: _reml_score(t, y, v),
+            0.0,
+            hi,
+            xtol=REML_TOL,
+            maxiter=REML_MAX_ITER,
         )
     except RuntimeError:
         return math.nan, False

@@ -421,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     for size in _SIZES:
         p.add_argument(_flag(size), type=int)
     p.add_argument("--verify", metavar="DIR",
-                   help="instead of generating, re-derive DIR from its "
-                   "manifest and verify it matches")
+                   help="instead of generating, render DIR again from its "
+                   "manifest and compare all four files byte for byte")
     p.set_defaults(func=_cmd_generate)
     return parser
 

@@ -65,9 +65,7 @@ class IcPosterior:
     n_floored: int = 0
 
 
-def posterior_ic(
-    table: ContingencyTable, n_samples: int = 100_000, seed: int = 0
-) -> IcPosterior:
+def posterior_ic(table: ContingencyTable, *, n_samples: int, seed: int) -> IcPosterior:
     """Sample the Dirichlet posterior and summarize the information component.
 
     Parameters
@@ -176,7 +174,7 @@ def _lerp(a: float, b: float, t: float) -> float:
 
 
 def signal_flag(
-    posterior: IcPosterior | MixturePosterior, threshold: float = 0.0
+    posterior: IcPosterior | MixturePosterior, *, threshold: float
 ) -> bool:
     """True when the lower 95% credibility bound clears the threshold."""
     return posterior.ci_low > threshold

@@ -331,10 +331,8 @@ class SimilarityMatrix:
         self._adj.setdefault(b, {})[a] = value
 
 
-def build_similarity(
-    ont: Ontology, pts: list[str] | None = None, *, min_ssm: float
-) -> SimilarityMatrix:
-    """Sokal-Sneath over the given PTs, keeping values > min_ssm.
+def build_similarity(ont: Ontology, *, min_ssm: float) -> SimilarityMatrix:
+    """Sokal-Sneath over the ontology's PTs, keeping values > min_ssm.
 
     ``min_ssm`` has no default here: a screen's cutoff is its
     ``RunConfig.min_ssm``, and the matrix must be built at or below it.
@@ -345,17 +343,16 @@ def build_similarity(
     and ssm > t needs m > 2*t*ic(a) / (1 + t). Each b > a sharing an
     ancestor above that bound with a is scored; every other pair scores at
     most t. The kept pairs and values equal those of an all-pairs scan.
-    Output is independent of the input ordering of pts.
     """
     if not min_ssm >= 0.0:
         raise ValidationError(f"min_ssm must be >= 0, got {min_ssm!r}")
-    codes = sorted(set(pts if pts is not None else ont.pts()))
+    codes = ont.pts()
     out = SimilarityMatrix(min_ssm)
     if len(codes) < 2:
         return out
     members: dict[str, list[str]] = {}  # ancestor -> sorted codes under it
     for code in codes:
-        for anc in ont.ancestors(code):  # raises on an unknown code
+        for anc in ont.ancestors(code):
             members.setdefault(anc, []).append(code)
     ic = ont.intrinsic_ic()
     for a in codes:

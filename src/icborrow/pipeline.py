@@ -365,7 +365,7 @@ def analyze_pair(
                 variance=post.variance,
                 ci_low=post.ci_low,
                 ci_high=post.ci_high,
-                signal=signal_flag(post, cfg.threshold),
+                signal=signal_flag(post, threshold=cfg.threshold),
                 **borrowed,
                 **base,
             )

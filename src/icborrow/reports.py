@@ -303,12 +303,12 @@ class ReportStore:
         return ContingencyTable(a=a, b=b, c=c, d=self._n.item(qi) - a - b - c)
 
     def active_pairs(
-        self, cutoff: Quarter, min_a: int = 1, drugs: Iterable[str] | None = None
+        self, cutoff: Quarter, *, min_a: int, drugs: Iterable[str] | None
     ) -> list[tuple[str, str]]:
         """(drug, event) pairs with a >= min_a at cutoff, sorted.
 
-        With ``drugs`` given, only pairs whose drug is one of those codes;
-        codes absent from the store match nothing.
+        With ``drugs`` None, every drug; otherwise only pairs whose drug is
+        one of those codes, and codes absent from the store match nothing.
         """
         qi = self._quarter_index(cutoff)
         if qi < 0:

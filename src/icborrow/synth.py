@@ -341,16 +341,17 @@ def scenario_from_echo(echo: object) -> Scenario:
     )
 
 
-def render(scenario: Scenario) -> tuple[dict[str, str], dict]:
-    """File contents plus the manifest, both fully deterministic."""
+def render(scenario: Scenario) -> tuple[dict[str, bytes], dict]:
+    """The bytes of every file generate writes, manifest included, and the
+    manifest as a dict; both fully deterministic. The manifest's digests are
+    taken from the same bytes."""
     lay = _layout(scenario)
-    ontology_text = _render_ontology(scenario, lay)
     reports_text, counts = _render_reports(scenario, lay)
     reference_text, positives, negatives = _render_reference(scenario, lay)
     files = {
-        ONTOLOGY_FILE: ontology_text,
-        REPORTS_FILE: reports_text,
-        REFERENCE_FILE: reference_text,
+        ONTOLOGY_FILE: _render_ontology(scenario, lay).encode(),
+        REPORTS_FILE: reports_text.encode(),
+        REFERENCE_FILE: reference_text.encode(),
     }
     manifest = {
         "format_version": 1,
@@ -368,71 +369,60 @@ def render(scenario: Scenario) -> tuple[dict[str, str], dict]:
         "positives": positives,
         "negatives": negatives,
         "digests": {
-            name: hashlib.sha256(text.encode("utf-8")).hexdigest()
-            for name, text in files.items()
+            name: hashlib.sha256(data).hexdigest() for name, data in files.items()
         },
     }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    files[MANIFEST_FILE] = text.encode()
     return files, manifest
 
 
 def generate(scenario: Scenario, outdir: str) -> dict:
-    """Write reports/ontology/reference plus a manifest; returns the manifest."""
+    """Write the files of render(scenario), manifest last; returns the manifest."""
     files, manifest = render(scenario)
     os.makedirs(outdir, exist_ok=True)
-    for name, text in files.items():
-        with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    with open(os.path.join(outdir, MANIFEST_FILE), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, data in files.items():
+        with open(os.path.join(outdir, name), "wb") as fh:
+            fh.write(data)
     return manifest
 
 
 def verify_manifest(outdir: str) -> bool:
-    """Regenerate from the manifest's scenario echo and diff against the files.
+    """Render again from the manifest's scenario echo and compare every file,
+    manifest included, byte for byte.
 
     Logs the first differing file and line, or why the manifest is missing
-    or its scenario cannot be regenerated; True only on an exact match.
+    or its scenario cannot be rendered; True only on an exact match.
     """
     try:
-        with open(os.path.join(outdir, MANIFEST_FILE), encoding="utf-8") as fh:
-            text = fh.read()
+        with open(os.path.join(outdir, MANIFEST_FILE), "rb") as fh:
+            manifest_bytes = fh.read()
     except FileNotFoundError:
         log.error("no %s in %s", MANIFEST_FILE, outdir)
         return False
     try:
-        manifest = json.loads(text)
-        files, regenerated = render(scenario_from_echo(manifest["scenario"]))
+        files, _ = render(scenario_from_echo(json.loads(manifest_bytes)["scenario"]))
     except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        log.error("cannot regenerate the scenario in %s: %r", MANIFEST_FILE, exc)
+        # Not %r: a UnicodeDecodeError's repr carries the whole manifest.
+        log.error("cannot regenerate the scenario in %s: %s: %s",
+                  MANIFEST_FILE, type(exc).__name__, exc)
         return False
-    for name, expected_text in files.items():
+    for name, expected in files.items():
         path = os.path.join(outdir, name)
         try:
-            with open(path, encoding="utf-8") as fh:
-                actual_text = fh.read()
+            with open(path, "rb") as fh:
+                actual = fh.read()
         except FileNotFoundError:
             log.error("missing generated file %s", path)
             return False
-        if actual_text != expected_text:
-            actual_lines = actual_text.splitlines()
-            expected_lines = expected_text.splitlines()
-            for i, (got, want) in enumerate(zip(actual_lines, expected_lines), start=1):
-                if got != want:
-                    log.error(
-                        "%s line %d differs: got %r, expected %r", path, i, got, want
-                    )
-                    return False
-            log.error(
-                "%s length differs: %d lines vs %d expected",
-                path,
-                len(actual_lines),
-                len(expected_lines),
-            )
+        if actual != expected:
+            n = min(len(actual), len(expected))
+            got, want = (np.frombuffer(b, np.uint8, n) for b in (actual, expected))
+            differ = np.flatnonzero(got != want)
+            at = int(differ[0]) if differ.size else n
+            log.error("%s differs from its regeneration at line %d",
+                      path, actual.count(b"\n", 0, at) + 1)
             return False
-    if manifest.get("counts") != regenerated["counts"]:
-        log.error("manifest counts do not match regeneration")
-        return False
     return True
 
 

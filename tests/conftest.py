@@ -135,6 +135,52 @@ MALFORMED_ECHOES = {
 }
 
 
+def _rewrite_manifest(change, indent=2):
+    """A tampering that applies change to the parsed manifest and writes it
+    back as generate does, or with another indent."""
+
+    def tamper(outdir) -> None:
+        path = outdir / "manifest.json"
+        manifest = json.loads(path.read_bytes())
+        change(manifest)
+        text = json.dumps(manifest, indent=indent, sort_keys=True) + "\n"
+        path.write_bytes(text.encode())
+
+    return tamper
+
+
+def _append_ff(name):
+    def tamper(outdir) -> None:
+        with open(outdir / name, "ab") as fh:
+            fh.write(b"\xff")
+
+    return tamper
+
+
+def _crlf(outdir) -> None:
+    path = outdir / "reports.tsv"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+# Changes to a generated directory that verify_manifest must refuse although
+# the scenario echo still renders. Each edits a scenario with planted pairs
+# and one cluster.
+TAMPERINGS = {
+    "totals-reports": _rewrite_manifest(
+        lambda m: m["totals"].update(reports=m["totals"]["reports"] + 1)
+    ),
+    "digests": _rewrite_manifest(
+        lambda m: m["digests"].update({"reports.tsv": "0" * 64})
+    ),
+    "positives": _rewrite_manifest(lambda m: m["positives"].pop()),
+    "designed-ssm": _rewrite_manifest(lambda m: m.update(designed_ssm=[0.5])),
+    "indent-4": _rewrite_manifest(lambda m: None, indent=4),
+    "crlf-reports": _crlf,
+    "ff-manifest": _append_ff("manifest.json"),
+    "ff-reports": _append_ff("reports.tsv"),
+}
+
+
 def all_pairs_similarity(ont: Ontology, codes: list[str], min_ssm: float) -> dict:
     """{(a, b): ssm} with a < b over every pair of codes, each one scored."""
     codes = sorted(set(codes))

@@ -246,7 +246,7 @@ def test_similarity_search_against_brute_force():
         rng = np.random.default_rng(seed)
         parents = random_dag(rng, 50)
         codes = ["C000"] + sorted(parents)
-        ont = make_ontology(parents, codes)
+        ont = make_ontology(parents, codes, levels={c: "PT" for c in codes})
 
         ics = seco_ic(parents, codes)
         ancestors = {c: bfs_ancestors(parents, c) for c in codes}
@@ -264,7 +264,7 @@ def test_similarity_search_against_brute_force():
                 if s_ab > 0.3:
                     above[(a, b)] = s_ab
                 n_pairs += 1
-        matrix = build_similarity(ont, pts=codes, min_ssm=0.3)
+        matrix = build_similarity(ont, min_ssm=0.3)
         kept = {(a, b): s for a in codes for b, s in matrix.neighbors(a) if a < b}
         ok = ok and kept == above
         n_kept += len(kept)

@@ -55,7 +55,7 @@ def test_fixed_effect_single_source():
     prior = fixed_effect_map([src(ic=1.0, vic=0.25, ssm=0.8)])
     assert prior.mu == pytest.approx(1.0, abs=1e-15)
     assert prior.v == pytest.approx(0.25, abs=1e-15)
-    assert prior.tau2 == 0.0 and prior.s_count == 1
+    assert prior.tau2 == 0.0
 
 
 def test_fixed_effect_symmetry():
@@ -134,7 +134,7 @@ def test_brentq_port_matches_scipy_exactly():
             assert _brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16) == expected
 
 
-def test_brentq_errors_and_reml_fallback():
+def test_brentq_errors_and_reml_fallback(monkeypatch):
     with pytest.raises(ValueError):
         _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
     with pytest.raises(RuntimeError):
@@ -142,7 +142,8 @@ def test_brentq_errors_and_reml_fallback():
     # A root search that stops early falls back to fixed-effect pooling.
     ics, vics = [-2.0, 0.0, 2.0], [0.05, 0.05, 0.05]
     assert reml_tau2(ics, vics)[1]
-    tau2, converged = reml_tau2(ics, vics, max_iter=1)
+    monkeypatch.setattr(borrow_module, "REML_MAX_ITER", 1)
+    tau2, converged = reml_tau2(ics, vics)
     assert math.isnan(tau2) and not converged
 
 

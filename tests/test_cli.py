@@ -13,7 +13,13 @@ from icborrow.cli import build_parser, main
 from icborrow.errors import NumericalError
 from icborrow.pipeline import CONFIG_SCHEMA
 
-from conftest import CHAIN_ONTOLOGY, MALFORMED_ECHOES, SIX_REPORTS, break_scenario_echo
+from conftest import (
+    CHAIN_ONTOLOGY,
+    MALFORMED_ECHOES,
+    SIX_REPORTS,
+    TAMPERINGS,
+    break_scenario_echo,
+)
 
 BASE = [
     "--n-samples", "2000",
@@ -97,6 +103,17 @@ def test_generate_verify_malformed_manifest(dataset, tmp_path, capsys, kind):
     assert json.loads(capsys.readouterr().out) == {
         "verified": False, "dir": str(copy)
     }
+
+
+@pytest.mark.parametrize("kind", sorted(TAMPERINGS))
+def test_generate_verify_refuses_tampered_copy(dataset, tmp_path, capsys, kind):
+    copy = tmp_path / "copy"
+    shutil.copytree(dataset, copy)
+    TAMPERINGS[kind](copy)
+    assert main(["generate", "--verify", str(copy)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [json.dumps({"verified": False, "dir": str(copy)})]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -243,7 +243,7 @@ def test_run_quarters_result_order_and_thread_invariance(basic_run):
     expected = [
         (q, drug, event, method)
         for q in cutoffs
-        for drug, event in sorted(store.active_pairs(q))
+        for drug, event in sorted(store.active_pairs(q, min_a=1, drugs=None))
         for method in cfg.methods
     ]
     assert keys == expected

@@ -62,7 +62,7 @@ def test_every_report_has_pair():
 
 
 def test_active_pairs(six_report_store):
-    pairs = six_report_store.active_pairs(Q("2015Q4"))
+    pairs = six_report_store.active_pairs(Q("2015Q4"), min_a=1, drugs=None)
     assert pairs == [
         ("DRUG", "EV"),
         ("DRUG", "OTHER_EV"),
@@ -70,12 +70,12 @@ def test_active_pairs(six_report_store):
         ("OTHER_DRUG", "OTHER_EV"),
         ("THIRD_DRUG", "OTHER_EV"),
     ]
-    assert six_report_store.active_pairs(Q("2015Q4"), min_a=2) == [
+    assert six_report_store.active_pairs(Q("2015Q4"), min_a=2, drugs=None) == [
         ("DRUG", "EV"),
         ("DRUG", "OTHER_EV"),
         ("OTHER_DRUG", "OTHER_EV"),
     ]
-    assert six_report_store.active_pairs(Q("2015Q4"), min_a=99) == []
+    assert six_report_store.active_pairs(Q("2015Q4"), min_a=99, drugs=None) == []
     for drug, event in pairs:
         assert six_report_store.contingency(drug, event, Q("2015Q4")).a >= 1
 
@@ -124,12 +124,13 @@ def test_duplicate_chain_across_blocks(tmp_path, caplog):
     assert store.load_warnings == want
     assert [r.getMessage() for r in caplog.records] == [f"{path}: {w}" for w in want]
     assert len(store) == 9
-    assert store.active_pairs(Q("2015Q3")) == [
+    assert store.active_pairs(Q("2015Q3"), min_a=1, drugs=None) == [
         ("D1", "E2"), ("D2", "E2"), ("D3", "E3"), ("D4", "E4")
     ]
     assert store.contingency("D3", "E3", Q("2015Q3")).a == 6
-    assert store.active_pairs(Q("2015Q2")) == [("D1", "E2"), ("D2", "E2"), ("D3", "E3")]
-    assert store.active_pairs(Q("2015Q1")) == store.active_pairs(Q("2015Q2"))
+    q2 = store.active_pairs(Q("2015Q2"), min_a=1, drugs=None)
+    assert q2 == [("D1", "E2"), ("D2", "E2"), ("D3", "E3")]
+    assert store.active_pairs(Q("2015Q1"), min_a=1, drugs=None) == q2
 
 
 def test_store_memory_grows_with_incidences(tmp_path):
@@ -148,7 +149,7 @@ def test_store_memory_grows_with_incidences(tmp_path):
     store = load_reports(str(path))
     n_q, incidences = len(store.quarters()), 400
     assert n_q == 40
-    assert len(store.active_pairs(Q("2019Q4"))) == incidences
+    assert len(store.active_pairs(Q("2019Q4"), min_a=1, drugs=None)) == incidences
     held = sum(v.size for v in vars(store).values() if isinstance(v, np.ndarray))
     assert held <= 4 * (len(store) + incidences + (20 + 20) * n_q)
 
@@ -218,7 +219,7 @@ def test_keys_past_2_31_match_the_line_loop_and_a_rescan(tmp_path):
     store = load_reports(str(path))
     assert store_state(store) == store_state(load_reports_by_line(str(path)))
     assert len(store.quarters()) == 240
-    assert store.active_pairs(Q("2019Q4")) == [
+    assert store.active_pairs(Q("2019Q4"), min_a=1, drugs=None) == [
         (f"D{i:04d}", f"E{i:04d}") for i in range(n)
     ]
     raw = [(q, {f"D{i:04d}"}, {f"E{i:04d}"}) for i, q in enumerate(quarters)]
@@ -340,7 +341,7 @@ def test_loaded_counts_match_rescan_across_gaps_and_duplicates(tmp_path_factory,
             for store in (loaded, built):
                 with pytest.raises(ValidationError):
                     store.contingency("D0", "E0", cutoff)
-                assert store.active_pairs(cutoff) == []
+                assert store.active_pairs(cutoff, min_a=1, drugs=None) == []
             continue
         for drug in drugs + ["NO_DRUG"]:
             for event in events + ["NO_EVENT"]:
@@ -355,15 +356,16 @@ def test_loaded_counts_match_rescan_across_gaps_and_duplicates(tmp_path_factory,
                 for e in events
                 if rescan_table(raw, d, e, cutoff)[0] >= min_a
             )
-            assert loaded.active_pairs(cutoff, min_a) == brute
-            assert built.active_pairs(cutoff, min_a) == brute
+            assert loaded.active_pairs(cutoff, min_a=min_a, drugs=None) == brute
+            assert built.active_pairs(cutoff, min_a=min_a, drugs=None) == brute
             # A random drug subset, with codes the store may lack or never
             # has, and a subset that matches nothing.
             subset = [d for d in drugs + ["NO_DRUG"] if rng.random() < 0.5]
             for wanted in (subset, ["NO_DRUG"], []):
                 filtered = [p for p in brute if p[0] in wanted]
                 for store in (loaded, built):
-                    assert store.active_pairs(cutoff, min_a, drugs=wanted) == filtered
+                    got = store.active_pairs(cutoff, min_a=min_a, drugs=wanted)
+                    assert got == filtered
 
 
 # Codes may hold characters that str.splitlines() would break on; a file

@@ -1,9 +1,12 @@
 import json
 import os
+import shutil
 import statistics
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icborrow import (
     PRESETS,
@@ -28,7 +31,7 @@ from icborrow.synth import (
     _scenario_echo,
 )
 
-from conftest import MALFORMED_ECHOES, break_scenario_echo, similarity_of
+from conftest import MALFORMED_ECHOES, TAMPERINGS, break_scenario_echo, similarity_of
 
 Q = Quarter.parse
 
@@ -70,6 +73,50 @@ def test_verify_manifest_catches_edits(tmp_path):
     lines[5] = lines[5].replace("\tD0", "\tD1", 1)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert not verify_manifest(str(outdir))
+
+
+@pytest.mark.parametrize("kind", sorted(TAMPERINGS))
+def test_verify_manifest_refuses_tampered_copy(basic_dir, tmp_path, caplog, kind):
+    outdir, _ = basic_dir
+    copy = tmp_path / kind
+    shutil.copytree(outdir, copy)
+    TAMPERINGS[kind](copy)
+    (changed,) = [
+        name for name in os.listdir(copy)
+        if (copy / name).read_bytes() != (outdir / name).read_bytes()
+    ]
+    assert not verify_manifest(str(copy))
+    # One short line naming the file, never the file's contents.
+    (record,) = caplog.records
+    message = record.getMessage()
+    assert changed in message
+    assert "\n" not in message and len(message) < 300
+
+
+@pytest.fixture(scope="module")
+def flip_dir(basic_dir, tmp_path_factory):
+    copy = tmp_path_factory.mktemp("synth_flip") / "basic"
+    shutil.copytree(basic_dir[0], copy)
+    return copy
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["ontology.tsv", "reference.tsv", "reports.tsv"]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(1, 255),
+)
+def test_verify_manifest_refuses_any_changed_byte(flip_dir, name, where, mask):
+    path = flip_dir / name
+    original = path.read_bytes()
+    changed = bytearray(original)
+    changed[int(where * len(original))] ^= mask
+    path.write_bytes(changed)
+    try:
+        assert not verify_manifest(str(flip_dir))
+    finally:
+        path.write_bytes(original)
+    assert verify_manifest(str(flip_dir))
 
 
 def test_verify_manifest_requires_manifest(tmp_path):
