@@ -18,7 +18,7 @@ import shutil
 import sys
 
 from ._version import __version__
-from .errors import NumericalError, ValidationError, open_text
+from .errors import NumericalError, ValidationError, data_lines, quote
 from .evaluate import (
     MIN_BOOTSTRAP_ITER,
     POSITIVE,
@@ -59,22 +59,18 @@ log = logging.getLogger(__name__)
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in first_line:
-                raise ValidationError(
-                    f"{path}:{lineno}: key {key!r} given twice, first at line "
-                    f"{first_line[key]}"
-                )
-            first_line[key] = lineno
-            values[key] = value.strip()
+    for lineno, line in data_lines(path):
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in first_line:
+            raise ValidationError(
+                f"{path}:{lineno}: key {quote(key)} given twice, first at line "
+                f"{first_line[key]}"
+            )
+        first_line[key] = lineno
+        values[key] = value.strip()
     return values
 
 
@@ -99,12 +95,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _read_code_list(path: str) -> list[str]:
-    codes = []
-    with open_text(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                codes.append(line)
+    codes = [line.strip() for _, line in data_lines(path)]
     if not codes:
         raise ValidationError(f"{path}: drug filter lists no drug codes")
     return codes

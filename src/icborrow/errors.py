@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the text reader that
-turns a byte that is not UTF-8 into a ValidationError."""
+"""Exception types shared across the package, the line reader of the text
+inputs and the quoting of input values in error messages."""
 
 from __future__ import annotations
 
@@ -46,3 +46,31 @@ def open_text(path: str) -> Iterator[TextIO]:
                     f"({exc.reason})"
                 ) from None
             raise
+
+
+def is_data_line(text: str) -> bool:
+    """False for a line to skip: blank, or ``#`` first after whitespace."""
+    return text.lstrip()[:1] not in ("", "#")
+
+
+def data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of ``path`` that is_data_line
+    keeps, without its newline. Lines are read and numbered by open_text,
+    skipped ones included."""
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if is_data_line(raw):
+                yield lineno, raw.rstrip("\n")
+
+
+QUOTE_CHARS = 60  # of an input value's repr that an error message quotes
+
+
+def quote(value: object) -> str:
+    """``repr(value)`` for an error message, cut to QUOTE_CHARS characters;
+    a cut one ends with the value's type and full length."""
+    text = repr(value)
+    if len(text) <= QUOTE_CHARS:
+        return text
+    length = len(value) if hasattr(value, "__len__") else len(text)
+    return f"{text[:QUOTE_CHARS]}... ({type(value).__name__} of length {length})"

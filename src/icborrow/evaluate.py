@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ValidationError, open_text
+from .errors import ValidationError, data_lines, quote
 from .ontology import Ontology, build_similarity
 from .pipeline import METHOD_SSM, RunConfig, RunContext, run_quarters
 from .quarters import Quarter
@@ -47,41 +47,37 @@ def load_reference(path: str) -> list[ReferenceEntry]:
     """
     entries: list[ReferenceEntry] = []
     seen: dict[tuple[str, str], int] = {}
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (3, 4):
-                raise ValidationError(
-                    f"{path}:{lineno}: reference row needs 3 or 4 tab-separated fields"
-                )
-            drug, pt, kind = fields[0], fields[1], fields[2]
-            if kind not in (POSITIVE, NEGATIVE):
-                raise ValidationError(f"{path}:{lineno}: unknown control kind {kind!r}")
-            label = None
-            if len(fields) == 4 and fields[3]:
-                try:
-                    label = Quarter.parse(fields[3])
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            if kind == POSITIVE and label is None:
-                raise ValidationError(
-                    f"{path}:{lineno}: positive control needs a label quarter"
-                )
-            if kind == NEGATIVE and label is not None:
-                raise ValidationError(
-                    f"{path}:{lineno}: negative control must not carry a quarter"
-                )
-            key = (drug, pt)
-            if key in seen:
-                raise ValidationError(
-                    f"{path}:{lineno}: duplicate reference pair {key}, "
-                    f"first at line {seen[key]}"
-                )
-            seen[key] = lineno
-            entries.append(ReferenceEntry(drug, pt, kind, label))
+    for lineno, line in data_lines(path):
+        fields = line.split("\t")
+        if len(fields) not in (3, 4):
+            raise ValidationError(
+                f"{path}:{lineno}: reference row needs 3 or 4 tab-separated fields"
+            )
+        drug, pt, kind = fields[0], fields[1], fields[2]
+        if kind not in (POSITIVE, NEGATIVE):
+            raise ValidationError(f"{path}:{lineno}: unknown control kind {quote(kind)}")
+        label = None
+        if len(fields) == 4 and fields[3]:
+            try:
+                label = Quarter.parse(fields[3])
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        if kind == POSITIVE and label is None:
+            raise ValidationError(
+                f"{path}:{lineno}: positive control needs a label quarter"
+            )
+        if kind == NEGATIVE and label is not None:
+            raise ValidationError(
+                f"{path}:{lineno}: negative control must not carry a quarter"
+            )
+        key = (drug, pt)
+        if key in seen:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate reference pair {quote(key)}, "
+                f"first at line {seen[key]}"
+            )
+        seen[key] = lineno
+        entries.append(ReferenceEntry(drug, pt, kind, label))
     return entries
 
 

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import CycleError, ValidationError, open_text
+from .errors import CycleError, ValidationError, data_lines, quote
 
 log = logging.getLogger(__name__)
 
@@ -206,7 +206,9 @@ def _topo_order(parents: dict[str, tuple[str, ...]], concepts: dict) -> list[str
             if out_deg[p] == 0:
                 ready.append(p)
     if len(order) != len(concepts):
-        raise CycleError("cycle detected: " + _find_cycle(parents, concepts, set(order)))
+        raise CycleError(
+            "cycle detected: " + quote(_find_cycle(parents, concepts, set(order)))
+        )
     return order
 
 
@@ -239,48 +241,44 @@ def load_ontology(path: str) -> Ontology:
     """Parse and validate a tab-separated concept graph file.
 
     Rows are ``N <code> <level> <label>`` followed by
-    ``E <child> <parent> <ISA|MEDDRA>``; ``#`` starts a comment line.
+    ``E <child> <parent> <ISA|MEDDRA>``, read by ``errors.data_lines``.
     Rejects duplicate codes, unknown levels or edge kinds, edges with
     unknown endpoints, cycles, and PTs with no parent at all.
     """
     concepts: dict[str, Concept] = {}
     isa: dict[str, list[str]] = {}
     meddra: dict[str, list[str]] = {}
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            tag = fields[0]
-            if tag == "N":
-                if len(fields) != 4:
+    for lineno, line in data_lines(path):
+        fields = line.split("\t")
+        tag = fields[0]
+        if tag == "N":
+            if len(fields) != 4:
+                raise ValidationError(
+                    f"{path}:{lineno}: node row needs 4 tab-separated fields"
+                )
+            _, code, level, label = fields
+            if level not in LEVELS:
+                raise ValidationError(f"{path}:{lineno}: unknown level {quote(level)}")
+            if code in concepts:
+                raise ValidationError(f"{path}:{lineno}: duplicate concept {quote(code)}")
+            concepts[code] = Concept(code, level, label)
+        elif tag == "E":
+            if len(fields) != 4:
+                raise ValidationError(
+                    f"{path}:{lineno}: edge row needs 4 tab-separated fields"
+                )
+            _, child, parent, kind = fields
+            if kind not in EDGE_KINDS:
+                raise ValidationError(f"{path}:{lineno}: unknown edge kind {quote(kind)}")
+            for code in (child, parent):
+                if code not in concepts:
                     raise ValidationError(
-                        f"{path}:{lineno}: node row needs 4 tab-separated fields"
+                        f"{path}:{lineno}: edge references unknown code {quote(code)}"
                     )
-                _, code, level, label = fields
-                if level not in LEVELS:
-                    raise ValidationError(f"{path}:{lineno}: unknown level {level!r}")
-                if code in concepts:
-                    raise ValidationError(f"{path}:{lineno}: duplicate concept {code!r}")
-                concepts[code] = Concept(code, level, label)
-            elif tag == "E":
-                if len(fields) != 4:
-                    raise ValidationError(
-                        f"{path}:{lineno}: edge row needs 4 tab-separated fields"
-                    )
-                _, child, parent, kind = fields
-                if kind not in EDGE_KINDS:
-                    raise ValidationError(f"{path}:{lineno}: unknown edge kind {kind!r}")
-                for code in (child, parent):
-                    if code not in concepts:
-                        raise ValidationError(
-                            f"{path}:{lineno}: edge references unknown code {code!r}"
-                        )
-                target = isa if kind == "ISA" else meddra
-                target.setdefault(child, []).append(parent)
-            else:
-                raise ValidationError(f"{path}:{lineno}: unknown row tag {tag!r}")
+            target = isa if kind == "ISA" else meddra
+            target.setdefault(child, []).append(parent)
+        else:
+            raise ValidationError(f"{path}:{lineno}: unknown row tag {quote(tag)}")
 
     ont = Ontology(
         concepts=concepts,
@@ -304,9 +302,7 @@ def _validate(ont: Ontology) -> None:
         if c.level == "PT" and c.code not in merged
     ]
     if orphans:
-        raise ValidationError(
-            "PTs with no path to a root: " + ", ".join(sorted(orphans)[:10])
-        )
+        raise ValidationError(f"PTs with no path to a root: {quote(sorted(orphans))}")
 
 
 # -- sparse pairwise similarity ----------------------------------------------

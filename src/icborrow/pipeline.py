@@ -18,7 +18,7 @@ from typing import Any, Callable
 from ._version import __version__
 from .borrow import (FIXED_EFFECTS, MAX_SSM, RANDOM_EFFECTS, BorrowSource, borrow,
                      vague_sd_in_range)
-from .errors import ValidationError
+from .errors import ValidationError, quote
 from .ic import IcPosterior, posterior_ic, signal_flag
 from .ontology import Ontology, SimilarityMatrix
 from .quarters import Quarter
@@ -68,11 +68,11 @@ class RunConfig:
             raise ValidationError("methods must name at least one method")
         for m in self.methods:
             if m not in METHODS:
-                raise ValidationError(f"unknown method {m!r}")
+                raise ValidationError(f"unknown method {quote(m)}")
         if len(set(self.methods)) != len(self.methods):
-            raise ValidationError(f"duplicate method in {','.join(self.methods)}")
+            raise ValidationError(f"duplicate method in {quote(','.join(self.methods))}")
         if self.effects not in (RANDOM_EFFECTS, FIXED_EFFECTS):
-            raise ValidationError(f"unknown effects model {self.effects!r}")
+            raise ValidationError(f"unknown effects model {quote(self.effects)}")
         if not 1 <= self.threads <= MAX_THREADS:
             raise ValidationError(
                 f"threads must be in [1, {MAX_THREADS}], got {self.threads}"
@@ -96,7 +96,7 @@ class RunConfig:
             raise ValidationError("drug_filter must name at least one drug")
         if isinstance(self.w, str):
             if self.w != MAX_SSM:
-                raise ValidationError(f"unknown prior weight {self.w!r}")
+                raise ValidationError(f"unknown prior weight {quote(self.w)}")
         elif not 0.0 <= self.w <= 1.0:
             raise ValidationError(f"w must be in [0, 1], got {self.w}")
 
@@ -107,7 +107,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("false", "0", "no"):
         return False
-    raise ValidationError(f"expected a boolean, got {text!r}")
+    raise ValidationError(f"expected a boolean, got {quote(text)}")
 
 
 def _parse_quarter(text: str) -> Quarter | None:
@@ -155,11 +155,17 @@ CONFIG_SCHEMA: dict[str, tuple[Callable[[str], Any], Callable[[Any], str], str]]
 def parse_config_value(key: str, text: str) -> Any:
     """One config value from its text form; errors name the key."""
     if key not in CONFIG_SCHEMA:
-        raise ValidationError(f"unknown config key {key!r}")
+        raise ValidationError(f"unknown config key {quote(key)}")
+    parse = CONFIG_SCHEMA[key][0]
     try:
-        return CONFIG_SCHEMA[key][0](text)
-    except (ValueError, ValidationError) as exc:
-        raise ValidationError(f"config key {key!r}: {exc}") from None
+        return parse(text)
+    except ValidationError as exc:
+        raise ValidationError(f"config key {quote(key)}: {exc}") from None
+    except ValueError:  # from int or float, whose message holds all of text
+        kind = "an integer" if parse is int else "a number"
+        raise ValidationError(
+            f"config key {quote(key)}: {quote(text)} is not {kind}"
+        ) from None
 
 
 def parse_config(values: dict[str, str]) -> RunConfig:
@@ -170,7 +176,7 @@ def parse_config(values: dict[str, str]) -> RunConfig:
         if key == "rng":
             if text != RNG_ALGORITHM:
                 raise ValidationError(
-                    f"config key 'rng': {text!r} is not {RNG_ALGORITHM!r}"
+                    f"config key 'rng': {quote(text)} is not {RNG_ALGORITHM!r}"
                 )
         elif key != "version":
             kwargs[key] = parse_config_value(key, text)

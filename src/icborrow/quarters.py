@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, quote
 
 _QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
 
@@ -25,7 +25,7 @@ class Quarter:
     def parse(cls, text: str) -> "Quarter":
         m = _QUARTER_RE.match(text.strip()) if isinstance(text, str) else None
         if m is None:
-            raise ValidationError(f"bad quarter {text!r}, expected YYYYQn")
+            raise ValidationError(f"bad quarter {quote(text)}, expected YYYYQn")
         return cls(int(m.group(1)), int(m.group(2)))
 
     def __str__(self) -> str:

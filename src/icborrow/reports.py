@@ -9,7 +9,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ValidationError, open_text
+from .errors import ValidationError, is_data_line, open_text, quote
 from .ontology import Ontology
 from .quarters import Quarter
 
@@ -335,14 +335,13 @@ class ReportStore:
 def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
     """Parse a tab-separated report file into a ReportStore.
 
-    Rows are ``<report_id> <YYYYQn> <drug1;drug2;...> <pt1;pt2;...>``. A
-    line is skipped when it is empty or only whitespace, or when its first
-    non-whitespace character is ``#``. Within a row, empty codes are dropped
-    and a code named twice counts once. Duplicate report ids keep the last
-    row (logged). Unknown PT codes are kept but warned about when an
-    ontology is supplied. A malformed row rejects the whole file; the error
-    names its line number, counting every physical line, comments and blank
-    lines included.
+    Rows are ``<report_id> <YYYYQn> <drug1;drug2;...> <pt1;pt2;...>``; a
+    line that ``errors.is_data_line`` rejects is skipped. Within a row,
+    empty codes are dropped and a code named twice counts once. Duplicate
+    report ids keep the last row (logged). Unknown PT codes are kept but
+    warned about when an ontology is supplied. A malformed row rejects the
+    whole file; the error names its line number, counting every physical
+    line, comments and blank lines included.
 
     The file is read as text in blocks of about 32k characters, so
     universal newlines are those of a text stream (a byte that is not UTF-8
@@ -378,9 +377,9 @@ def load_reports(path: str, ontology: Ontology | None = None) -> ReportStore:
     return loader.store(ontology)
 
 
-# What the first byte of a line says of the skip rule: the line is a row,
-# a line to skip (empty, or a comment), or one that ``str.lstrip`` must
-# judge, since it starts with ASCII whitespace or a non-ASCII character.
+# What the first byte of a line says of ``errors.is_data_line``: a row, a
+# line to skip (empty, or a comment), or one the rule must judge whole, as
+# it starts with ASCII whitespace or a non-ASCII character.
 _ROW, _SKIP, _ASK = 0, 1, 2
 _FIRST_BYTE = np.array(
     [_ASK if c > 127 or chr(c).isspace() else _ROW for c in range(256)], dtype=np.uint8
@@ -508,8 +507,7 @@ class _BlockLoader:
         kind = _FIRST_BYTE[arr[starts]]
         ask = np.flatnonzero(kind == _ASK)
         for i, s, e in zip(ask.tolist(), starts[ask].tolist(), ends[ask].tolist()):
-            head = buf[s:e].decode("utf-8").lstrip()[:1]
-            kind[i] = _SKIP if head in ("", "#") else _ROW
+            kind[i] = _ROW if is_data_line(buf[s:e].decode("utf-8")) else _SKIP
         rows = np.flatnonzero(kind == _ROW)
         lines = rows + (self.lines_read + 1)
         self.lines_read += len(ends)
@@ -609,7 +607,7 @@ class _BlockLoader:
         record_line = np.concatenate(self.record_line) if found else None
         for record, previous, report_id in found:
             msg = (
-                f"duplicate report id {report_id.decode('utf-8')[:-1]!r} at line "
+                f"duplicate report id {quote(report_id.decode('utf-8')[:-1])} at line "
                 f"{record_line[record]} replaces line {record_line[previous]}"
             )
             log.warning("%s: %s", self.path, msg)
@@ -622,7 +620,7 @@ class _BlockLoader:
         drug_codes, event_codes = self.drugs.names, self.events.names
         if ontology is not None:
             for code in sorted(set(event_codes) - set(ontology.pts())):
-                msg = f"event code {code!r} not present in the ontology"
+                msg = f"event code {quote(code)} not present in the ontology"
                 log.warning("%s: %s", self.path, msg)
                 self.warnings.append(msg)
         alive = np.ones(sum(map(len, self.record_line)), dtype=bool)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, quote
 from .quarters import Quarter
 
 log = logging.getLogger(__name__)
@@ -83,7 +83,7 @@ class Scenario:
             value = getattr(self, name)
             if not isinstance(value, int) or value < least:
                 raise ValidationError(
-                    f"scenario {name} must be an integer >= {least}, got {value!r}"
+                    f"scenario {name} must be an integer >= {least}, got {quote(value)}"
                 )
 
 
@@ -116,17 +116,19 @@ def _layout(s: Scenario) -> Layout:
     offset = 0
     for c in s.clusters:
         if c.kind not in (CONCORDANT, DISCORDANT):
-            raise ValidationError(f"unknown cluster kind {c.kind!r}")
+            raise ValidationError(f"unknown cluster kind {quote(c.kind)}")
         if c.size < 2:
             raise ValidationError("clusters need at least 2 PTs")
         if not isinstance(c.n_groupmates, int) or c.n_groupmates < 0:
             raise ValidationError(
-                f"cluster n_groupmates must be an integer >= 0, got {c.n_groupmates!r}"
+                "cluster n_groupmates must be an integer >= 0, got "
+                f"{quote(c.n_groupmates)}"
             )
         # A NaN target would pass the similarity check below vacuously.
         if not (isinstance(c.target_ssm, (int, float)) and 0.0 < c.target_ssm < 1.0):
             raise ValidationError(
-                f"cluster target_ssm must be a number in (0, 1), got {c.target_ssm!r}"
+                "cluster target_ssm must be a number in (0, 1), got "
+                f"{quote(c.target_ssm)}"
             )
         members.append([pt_code(offset + j) for j in range(c.size)])
         offset += c.size
@@ -240,12 +242,12 @@ def _render_reports(s: Scenario, lay: Layout) -> tuple[str, dict[str, int]]:
     pt_idx = {pt_code(i): i for i in range(s.n_pts)}
     for p in s.planted:
         if p.drug not in drug_idx or p.pt not in pt_idx:
-            raise ValidationError(f"planted pair ({p.drug}, {p.pt}) not in scenario")
+            raise ValidationError(f"planted pair {quote((p.drug, p.pt))} not in scenario")
         if p.multiplier < 1.0:
             raise ValidationError("planted multipliers must be >= 1")
         if not isinstance(p.onset, int) or not 0 <= p.onset < s.n_quarters:
             raise ValidationError(
-                f"onset {p.onset!r} is not an integer in 0..{s.n_quarters - 1}"
+                f"onset {quote(p.onset)} is not an integer in 0..{s.n_quarters - 1}"
             )
 
     rng = np.random.Generator(np.random.Philox(s.seed))
@@ -315,12 +317,12 @@ def _scenario_echo(s: Scenario) -> dict:
 def _fields_of(cls, echo: object) -> dict:
     """echo itself, once it is checked to hold exactly the fields of cls."""
     if not isinstance(echo, dict):
-        raise ValidationError(f"{cls.__name__} echo is not an object: {echo!r}")
+        raise ValidationError(f"{cls.__name__} echo is not an object: {quote(echo)}")
     names = {f.name for f in dataclasses.fields(cls)}
     if echo.keys() != names:
         raise ValidationError(
-            f"{cls.__name__} echo: missing fields {sorted(names - echo.keys())}, "
-            f"unknown fields {sorted(echo.keys() - names)}"
+            f"{cls.__name__} echo: missing fields {quote(sorted(names - echo.keys()))}, "
+            f"unknown fields {quote(sorted(echo.keys() - names))}"
         )
     return echo
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv, digamma
 
 from icborrow import Quarter
-from icborrow.errors import ValidationError
+from icborrow.errors import ValidationError, quote
 from icborrow.evaluate import POSITIVE, Comparison, MetricsReport
 from icborrow.reports import ReportStore, _Columns
 
@@ -151,7 +151,7 @@ def load_reports_by_line(path: str, ontology=None) -> ReportStore:
             previous = latest.get(report_id)
             if previous is not None:
                 msg = (
-                    f"duplicate report id {report_id!r} at line {lineno} replaces "
+                    f"duplicate report id {quote(report_id)} at line {lineno} replaces "
                     f"line {record_line[previous]}"
                 )
                 log.warning("%s: %s", path, msg)
@@ -159,7 +159,7 @@ def load_reports_by_line(path: str, ontology=None) -> ReportStore:
             latest[report_id] = record
     if ontology is not None:
         for code in sorted(set(event_codes) - set(ontology.pts())):
-            msg = f"event code {code!r} not present in the ontology"
+            msg = f"event code {quote(code)} not present in the ontology"
             log.warning("%s: %s", path, msg)
             warnings.append(msg)
     alive = np.zeros(len(record_line), dtype=bool)

@@ -348,6 +348,55 @@ def test_borrowing_direction_on_synthetic_scenarios(tmp_path):
     )
 
 
+def _discordant_target_pmes(seed: int, workdir: str) -> dict[str, float]:
+    """Each method's pme of (D000, PT0000) at the last cutoff of a
+    discordant scenario."""
+    outdir = os.path.join(workdir, f"disc{seed}")
+    generate(replace(PRESETS["discordant"], seed=seed), outdir)
+    ontology = load_ontology(os.path.join(outdir, "ontology.tsv"))
+    store = load_reports(os.path.join(outdir, "reports.tsv"), ontology)
+    final = store.quarters()[-1]
+    config = RunConfig(
+        methods=(METHOD_IC, METHOD_SSM, METHOD_HLGT),
+        n_samples=10_000,
+        seed=seed,
+        start=final,
+        end=final,
+        drug_filter=frozenset({"D000"}),
+    )
+    ctx = RunContext(
+        store=store,
+        config=config,
+        similarity=build_similarity(ontology, min_ssm=config.min_ssm),
+        ontology=ontology,
+    )
+    return {
+        r.method: r.pme
+        for r in run_quarters(ctx).results
+        if (r.drug, r.event) == ("D000", "PT0000")
+    }
+
+
+def test_group_borrowing_moves_further_on_discordant_clusters(tmp_path):
+    # The target's similar siblings are null and rare, its HLGT group-mates
+    # elevated but less so: group borrowing pulls its estimate further
+    # from the plain IC than similarity borrowing does. The bound is the
+    # concordant gate's, 16 of 20 seeds.
+    t0 = time.perf_counter()
+    further = 0
+    for seed in range(20):
+        pme = _discordant_target_pmes(seed, str(tmp_path))
+        further += abs(pme[METHOD_HLGT] - pme[METHOD_IC]) > abs(
+            pme[METHOD_SSM] - pme[METHOD_IC]
+        )
+    elapsed = time.perf_counter() - t0
+    _gate(
+        "group borrowing moves further than similarity on discordant clusters",
+        further >= 16,
+        f"{further}/20 seeds, {elapsed:.0f}s",
+    )
+
+
 def test_determinism_across_worker_threads(tmp_path, capsys):
     t0 = time.perf_counter()
     data = tmp_path / "data"

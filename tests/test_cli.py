@@ -116,6 +116,21 @@ def test_generate_verify_refuses_tampered_copy(dataset, tmp_path, capsys, kind):
     assert "Traceback" not in err
 
 
+def test_generate_verify_quotes_a_long_echo_value_short(tmp_path, capsys):
+    # A verify log line quotes the bad echo value cut short, not whole.
+    copy = tmp_path / "basic"
+    assert main(["generate", "--preset", "basic", "--out", str(copy)]) == 0
+    break_scenario_echo(copy, lambda m: m["scenario"].update(n_drugs="9" * 20000))
+    proc = subprocess.run(
+        [sys.executable, "-m", "icborrow.cli", "generate", "--verify", str(copy)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {"verified": False, "dir": str(copy)}
+    assert "n_drugs" in proc.stderr and "Traceback" not in proc.stderr
+    assert all(len(line) < 300 for line in proc.stderr.splitlines())
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [
@@ -456,6 +471,20 @@ def test_byte_that_is_not_utf8_names_file_and_line(
         "(invalid continuation byte)"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FIVE_INPUTS)
+
+
+def test_long_label_quarter_is_quoted_short(dataset, tmp_path, capsys):
+    reference = tmp_path / "reference.tsv"
+    reference.write_text("D000\tPT0000\tPOSITIVE\t" + "2" * 20000 + "\n")
+    code = main(["validate", "--reports", str(dataset / "reports.tsv"),
+                 "--reference", str(reference)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 300
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["message"].startswith(f"{reference}:1: bad quarter '2222")
+    assert "(str of length 20000)" in payload["message"]
 
 
 def test_empty_drug_filter_is_rejected(dataset, tmp_path, capsys):

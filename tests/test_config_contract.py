@@ -12,6 +12,10 @@ for a sweep parameter, as a second ``--grid`` axis. The contract:
   documented files, with the value in effect;
 - no exception escapes ``main``, and a failed command leaves no ``--out``
   directory and no ``.partial-*`` sibling.
+
+The data half holds ``validate`` and ``run`` to the same contract on a small
+generated data set with one change at a time to one of the five text inputs:
+reports, ontology, reference, ``--drug-filter`` and ``--config``.
 """
 
 import contextlib
@@ -132,8 +136,9 @@ def _one_json_error(err: str, code: int) -> dict:
     return payload
 
 
-def _check_outputs(case, args, out) -> None:
-    command, key, value, way = case
+def _documented_outputs(command, out):
+    """The config out was written with, once out is checked to hold exactly
+    the files the command documents."""
     text = (out / "effective_config.txt").read_text(encoding="utf-8")
     config = parse_config(dict(line.split(" = ", 1) for line in text.splitlines()))
     documented = {
@@ -145,6 +150,12 @@ def _check_outputs(case, args, out) -> None:
     assert sorted(os.listdir(out)) == sorted(
         documented + ["README.md", "effective_config.txt"]
     )
+    return config
+
+
+def _check_outputs(case, args, out) -> None:
+    command, key, value, way = case
+    config = _documented_outputs(command, out)
     if way == "flag" and key == "include_target_in_reml":
         assert config.include_target_in_reml is True
     elif way != "grid":
@@ -197,3 +208,178 @@ def test_config_contract(inputs, case):
         assert code == 0, err
         assert os.listdir(tmp / "real") == ["out"]
         _check_outputs(case, args, out)
+
+
+# -- the data half ---------------------------------------------------------------
+
+
+def _sub(old: str, new: str):
+    """An edit that replaces the first ``old`` in a file's text."""
+
+    def edit(text: str) -> bytes:
+        assert old in text
+        return text.replace(old, new, 1).encode()
+
+    return edit
+
+
+def _append(line: str):
+    return lambda text: (text + line + "\n").encode()
+
+
+def _prepend(line: str):
+    return lambda text: (line + "\n" + text).encode()
+
+
+def _keep_comments(text: str) -> bytes:
+    return "".join(l for l in text.splitlines(True) if l.startswith("#")).encode()
+
+
+LONG = "9" * 20000
+ENDS = {"crlf": "\r\n", "cr": "\r"}
+
+# Per input file, named changes and the exit code each one must give.
+DATA_EDITS = {
+    "ontology.tsv": {
+        "unknown level": (_sub("N\tROOT\tOTHER", "N\tROOT\tLLT"), 2),
+        "node of 3 fields": (_sub("N\tROOT\tOTHER\troot", "N\tROOT\tOTHER"), 2),
+        "duplicate node": (_append("N\tROOT\tOTHER\tagain"), 2),
+        "unknown edge kind": (_sub("ROOT\tISA", "ROOT\tPART_OF"), 2),
+        "edge to an unknown code": (_append("E\tGRP00\tNOWHERE\tISA"), 2),
+        "edge before its nodes": (_prepend("E\tGRP00\tROOT\tISA"), 2),
+        "unknown row tag": (_append("X\tGRP00\tROOT\tISA"), 2),
+        "ISA cycle": (_append("E\tROOT\tGRP00\tISA"), 2),
+        "MEDDRA cycle": (_append("E\tSOC0\tHLG000\tMEDDRA"), 2),
+        "self loop": (_append("E\tROOT\tROOT\tISA"), 2),
+        "PT with no parent": (_append("N\tPT9999\tPT\tlonely"), 2),
+        "long PT code with no parent": (_append(f"N\t{LONG}\tPT\tlonely"), 2),
+        "long code in a cycle": (
+            _append(f"N\t{LONG}\tOTHER\tx\nE\t{LONG}\tROOT\tISA\n"
+                    f"E\tROOT\t{LONG}\tISA"),
+            2,
+        ),
+        "long level": (_sub("N\tROOT\tOTHER", "N\tROOT\t" + LONG), 2),
+        "byte order mark": (_prepend("\ufeff"), 2),
+        "edge given twice": (_append("E\tGRP00\tROOT\tISA"), 0),
+        "indented comments": (_prepend(" # x\n\u3000# y\n\t\n"), 0),
+        "comments only": (_keep_comments, 0),
+    },
+    "reports.tsv": {
+        "row of 3 fields": (_append("R9999999\t2015Q2\tD000"), 2),
+        "empty id": (_append("\t2015Q2\tD000\tPT0000"), 2),
+        "bad quarter": (_append("R9999999\t2015Q5\tD000\tPT0000"), 2),
+        "long quarter": (_append("R9999999\t" + LONG + "\tD000\tPT0000"), 2),
+        "no drug": (_append("R9999999\t2015Q2\t;\tPT0000"), 2),
+        "event not in the ontology": (_append("R9999999\t2015Q2\tD000\tNOPE"), 0),
+        "duplicate id": (_append("R0000001\t2015Q3\tD001\tPT0003"), 0),
+        "codes in lists": (_append("R9999999\t2015Q2\tD000;D001;\tPT0001;PT0001"), 0),
+        "id after Unicode whitespace": (_append("\u3000R9\t2015Q2\tD000\tPT0000"), 0),
+        "long id": (_append(LONG + "\t2015Q2\tD000\tPT0000"), 0),
+        "earlier quarter": (_append("R9999999\t2014Q4\tD000\tPT0000"), 0),
+        "comments only": (_keep_comments, {"validate": 0, "run": 2}),
+        "row after a next-line character": (_append("\x85R9\t2015Q2\tD000\tPT0000"), 0),
+        "NUL in an id": (_append("R9\x00\t2015Q2\tD000\tPT0000"), 0),
+    },
+    "reference.tsv": {
+        "row of 2 fields": (_append("D000\tPT0020"), 2),
+        "unknown kind": (_append("D000\tPT0020\tMAYBE"), 2),
+        "positive without quarter": (_append("D000\tPT0020\tPOSITIVE"), 2),
+        "negative with quarter": (_append("D000\tPT0020\tNEGATIVE\t2016Q1"), 2),
+        "long label quarter": (_append("D000\tPT0020\tPOSITIVE\t" + LONG), 2),
+        "pair given twice": (_append("D000\tPT0000\tPOSITIVE\t2016Q3"), 2),
+        "PT not in the ontology": (_append("D000\tNOPE\tNEGATIVE"), 0),
+        "comments only": (_keep_comments, 0),
+    },
+    "drugs.txt": {
+        "comments only": (_keep_comments, 2),
+        "unknown drug": (_append("NO_SUCH_DRUG"), 0),
+        "only unknown drugs": (lambda text: b"NO_SUCH_DRUG\n", 0),
+        "codes in a list": (lambda text: b"D000;D001\n", 0),
+        "code after Unicode whitespace": (_append("\u3000D002"), 0),
+        "long code": (_append(LONG), 0),
+    },
+    "run.cfg": {
+        "no equals sign": (_append("seed 3"), 2),
+        "unknown key": (_append("colour = blue"), 2),
+        "key given twice": (_append("n_samples = 2000"), 2),
+        "bad value": (_append("w = heavy"), 2),
+        "long number": (_append("w = " + "x" * 20000), 2),
+        "long method": (_sub("methods = IC", "methods = " + "X" * 20000), 2),
+        "long method list": (_sub("methods = IC", "methods = IC" + ",IC" * 7000), 2),
+        "long key": (_append(LONG + " = 1"), 2),
+        "other generator": (_append("rng = sfc64"), 2),
+        "version line": (_append("version = 0.0"), 0),
+        "empty value": (_append("start ="), 0),
+        "indented comment": (_append("\u3000# w = heavy"), 0),
+        "comments only": (_keep_comments, 0),
+    },
+}
+# Every file also takes each line end, and a byte that is not UTF-8, and
+# is emptied.
+for _name, _edits in DATA_EDITS.items():
+    for _end, _sep in ENDS.items():
+        _edits[f"{_end} line ends"] = (
+            lambda text, sep=_sep: text.replace("\n", sep).encode(), 0
+        )
+    _edits["byte 0xff"] = (lambda text: text.encode() + b"# \xff\n", 2)
+    _edits.setdefault("empty", (lambda text: b"", _edits["comments only"][1]))
+
+# The commands that read each file.
+READERS = {
+    "ontology.tsv": ("validate", "run"),
+    "reports.tsv": ("validate", "run"),
+    "reference.tsv": ("validate",),
+    "drugs.txt": ("run",),
+    "run.cfg": ("run",),
+}
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("data_contract")
+    assert main(["generate", "--preset", "basic", "--seed", "0", "--n-reports", "300",
+                 "--n-quarters", "3", "--out", str(root)]) == 0
+    (root / "drugs.txt").write_text("# drugs to screen\nD000\nD001\n")
+    (root / "run.cfg").write_text(
+        "# a small screen\nmethods = IC,IC_SSM,IC_HLGT\nn_samples = 1000\n"
+    )
+    return root
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [(name, change) for name in DATA_EDITS for change in sorted(DATA_EDITS[name])],
+)
+def test_data_contract(dataset, tmp_path, capsys, name, change):
+    edit, codes = DATA_EDITS[name][change]
+    paths = {}
+    for file in READERS:
+        paths[file] = tmp_path / file
+        text = (dataset / file).read_text(encoding="utf-8")
+        paths[file].write_bytes(edit(text) if file == name else text.encode())
+    inputs = ["--reports", str(paths["reports.tsv"]),
+              "--ontology", str(paths["ontology.tsv"])]
+    capsys.readouterr()
+    for command in READERS[name]:
+        if command == "validate":
+            args = ["validate"] + inputs + ["--reference", str(paths["reference.tsv"])]
+        else:
+            (tmp_path / "o").mkdir()
+            args = ["run"] + inputs + [
+                "--drug-filter", str(paths["drugs.txt"]),
+                "--config", str(paths["run.cfg"]),
+                "--n-samples", "1000", "--threads", "1",
+                "--out", str(tmp_path / "o" / "out"),
+            ]
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == (codes if isinstance(codes, int) else codes[command]), err
+        if code:
+            payload = _one_json_error(err, code)
+            assert len(err) < 300, payload
+        elif command == "validate":
+            assert {"reports", "concepts", "reference"} <= json.loads(out).keys()
+        else:
+            _documented_outputs("run", tmp_path / "o" / "out")
+        if command == "run":
+            assert os.listdir(tmp_path / "o") == (["out"] if code == 0 else [])

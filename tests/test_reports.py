@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icborrow import ContingencyTable, Quarter, load_ontology, load_reports, reports
-from icborrow.errors import ValidationError
+from icborrow.errors import ValidationError, data_lines
 
 from conftest import CHAIN_ONTOLOGY, make_store
 from oracles import load_reports_by_line, rescan_table, store_state
@@ -475,3 +475,52 @@ def test_block_loader_equals_line_loop(tmp_path_factory, text, with_ontology):
     with patch.object(reports, "_BLOCK_CHARS", 64):
         got = _load_outcome(load_reports, path, ontology)
     assert got == _load_outcome(load_reports_by_line, path, ontology)
+
+
+# Characters str.lstrip() takes for whitespace: ASCII ones, and \x1c-\x1f,
+# \x85, \xa0 and \u3000, which a text stream does not end a line at.
+WHITESPACE = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+              "\x85", "\xa0", "\u3000"]
+
+
+@st.composite
+def skip_rule_files(draw):
+    """File text of rows, comments and blank lines, each after a run of
+    whitespace, with \\n, \\r\\n and \\r ends; and its rows. Row ids start
+    with ASCII and with non-ASCII characters; row i names drug D<i>."""
+    lines, rows = [], []
+    for i in range(draw(st.integers(0, 20))):
+        lead = draw(st.text(st.sampled_from(WHITESPACE), max_size=3))
+        kind = draw(st.sampled_from(["row", "comment", "blank"]))
+        if kind == "row":
+            lead = lead.replace("\t", "")  # a tab would start a fifth field
+            first = draw(st.sampled_from(["R", "é", "\u4e00", "\U0001f600"]))
+            rows.append(f"{lead}{first}{i}\t2015Q1\tD{i}\tE1")
+            lines.append(rows[-1])
+        elif kind == "comment":
+            lines.append(lead + "#" + draw(st.sampled_from(["", " x", "\tx", "é"])))
+        else:
+            lines.append(lead)
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(endings) for line in lines), rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=skip_rule_files())
+def test_report_rows_are_the_data_lines(tmp_path_factory, case):
+    # Lines that start with ASCII are judged by the loader's first-byte
+    # table, the others by errors.is_data_line; data_lines keeps the same
+    # rows, numbered as universal newlines count lines.
+    text, rows = case
+    path = tmp_path_factory.mktemp("skip") / "reports.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    physical = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    kept = list(data_lines(str(path)))
+    assert [line for _, line in kept] == rows
+    assert all(physical[lineno - 1] == line for lineno, line in kept)
+    drugs = {row.split("\t")[2] for row in rows}
+    with patch.object(reports, "_BLOCK_CHARS", 64):
+        store = load_reports(str(path))
+    assert len(store) == len(drugs)
+    pairs = store.active_pairs(Quarter(2015, 1), min_a=1, drugs=None) if drugs else []
+    assert {drug for drug, _ in pairs} == drugs
