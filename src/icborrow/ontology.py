@@ -30,7 +30,14 @@ class Concept:
 
 @dataclass
 class Ontology:
-    """A validated acyclic concept graph with ISA and MEDDRA parent links."""
+    """A concept graph with ISA and MEDDRA parent links.
+
+    load_ontology checks that the two edge kinds together form no cycle.
+    Every relation reads one reflexive ancestor set per code and edge kind:
+    intrinsic IC counts the ISA sets that hold a code, the MICA is the
+    largest IC in the intersection of two ISA sets, and MedDRA groups are
+    read off the MEDDRA sets.
+    """
 
     concepts: dict[str, Concept]
     isa_parents: dict[str, tuple[str, ...]]
@@ -42,7 +49,6 @@ class Ontology:
     def pts(self) -> list[str]:
         return sorted(c.code for c in self.concepts.values() if c.level == "PT")
 
-    # One reflexive-ancestor closure per edge kind; every relation reads them.
     @cached_property
     def _isa_closure(self) -> dict[str, frozenset[str]]:
         return _closure(self.isa_parents, self.concepts)
@@ -87,26 +93,14 @@ class Ontology:
         except KeyError:
             raise ValidationError(f"unknown concept code {code!r}") from None
 
-    @cached_property
-    def _ancestors_by_ic(self) -> dict[str, tuple[str, ...]]:
-        ic = self.intrinsic_ic()
-        return {
-            code: tuple(sorted(closure, key=lambda c: (-ic[c], c)))
-            for code, closure in self._isa_closure.items()
-        }
-
     def mica_ic(self, code_a: str, code_b: str) -> float:
         """Information content of the maximum-IC common ISA ancestor.
 
         Returns 0.0 when the two concepts share no ancestor.
         """
-        anc_b = self.ancestors(code_b)
-        if code_a not in self.concepts:
-            raise ValidationError(f"unknown concept code {code_a!r}")
-        for cand in self._ancestors_by_ic[code_a]:  # descending IC, early exit
-            if cand in anc_b:
-                return self.intrinsic_ic()[cand]
-        return 0.0
+        ic = self.intrinsic_ic()
+        common = self.ancestors(code_a) & self.ancestors(code_b)
+        return max((ic[c] for c in common), default=0.0)
 
     def sokal_sneath(self, code_a: str, code_b: str) -> float:
         """Sokal-Sneath semantic similarity in [0, 1].
@@ -182,7 +176,7 @@ def _closure(
 ) -> dict[str, frozenset[str]]:
     """Reflexive ancestor set of every concept over one parent map."""
     closure: dict[str, frozenset[str]] = {}
-    for code in reversed(_topo_order(parents, concepts)):  # roots first
+    for code in _parents_first(parents, concepts):
         s = {code}
         for p in parents.get(code, ()):
             s |= closure[p]
@@ -190,51 +184,39 @@ def _closure(
     return closure
 
 
-def _topo_order(parents: dict[str, tuple[str, ...]], concepts: dict) -> list[str]:
-    """Topological order with children before parents (Kahn over child->parent)."""
-    out_deg = {code: 0 for code in concepts}  # number of unprocessed children
-    for child, ps in parents.items():
-        for p in ps:
-            out_deg[p] += 1
-    ready = sorted(code for code, d in out_deg.items() if d == 0)
+def _parents_first(parents: dict[str, tuple[str, ...]], concepts: dict) -> list[str]:
+    """Every concept once, each after all of its parents.
+
+    An iterative depth-first walk, started from each code in sorted order and
+    following each code's parents in the order given, lists a code once all
+    of its parents are listed. A parent met again while still on the walk's
+    open path closes a cycle: CycleError names it from that parent, child to
+    parent, back to itself.
+    """
     order: list[str] = []
-    while ready:
-        code = ready.pop()
-        order.append(code)
-        for p in sorted(parents.get(code, ()), reverse=True):
-            out_deg[p] -= 1
-            if out_deg[p] == 0:
-                ready.append(p)
-    if len(order) != len(concepts):
-        raise CycleError(
-            "cycle detected: " + quote(_find_cycle(parents, concepts, set(order)))
-        )
+    done: dict[str, bool] = {}  # False while on the open path, True once listed
+    for start in sorted(concepts):
+        if start in done:
+            continue
+        done[start] = False
+        path = [start]
+        todo = [iter(parents.get(start, ()))]
+        while todo:
+            for p in todo[-1]:
+                if p not in done:
+                    done[p] = False
+                    path.append(p)
+                    todo.append(iter(parents.get(p, ())))
+                    break
+                if not done[p]:
+                    cycle = " -> ".join(path[path.index(p):] + [p])
+                    raise CycleError("cycle detected: " + quote(cycle))
+            else:  # every parent of the path's last code is listed
+                todo.pop()
+                code = path.pop()
+                done[code] = True
+                order.append(code)
     return order
-
-
-def _find_cycle(parents, concepts, done: set[str]) -> str:
-    # Shrink the unprocessed set to its cyclic core: drop nodes until every
-    # survivor has at least one parent among the survivors.
-    core = {c for c in concepts if c not in done}
-    changed = True
-    while changed:
-        changed = False
-        for code in sorted(core):
-            if not any(p in core for p in parents.get(code, ())):
-                core.discard(code)
-                changed = True
-    start = sorted(core)[0]
-    path = [start]
-    seen = {start}
-    cur = start
-    while True:
-        nxt = next(p for p in parents[cur] if p in core)
-        if nxt in seen:
-            i = path.index(nxt)
-            return " -> ".join(path[i:] + [nxt])
-        seen.add(nxt)
-        path.append(nxt)
-        cur = nxt
 
 
 def load_ontology(path: str) -> Ontology:
@@ -243,7 +225,10 @@ def load_ontology(path: str) -> Ontology:
     Rows are ``N <code> <level> <label>`` followed by
     ``E <child> <parent> <ISA|MEDDRA>``, read by ``errors.data_lines``.
     Rejects duplicate codes, unknown levels or edge kinds, edges with
-    unknown endpoints, cycles, and PTs with no parent at all.
+    unknown endpoints, and PTs with no parent at all. ISA and MEDDRA edges
+    are checked for cycles together, so a cycle that needs both kinds is
+    rejected; the CycleError names the first cycle that a walk in code
+    order meets (see _parents_first).
     """
     concepts: dict[str, Concept] = {}
     isa: dict[str, list[str]] = {}
@@ -290,16 +275,15 @@ def load_ontology(path: str) -> Ontology:
 
 
 def _validate(ont: Ontology) -> None:
-    merged: dict[str, tuple[str, ...]] = {}
-    for code in ont.concepts:
-        ps = tuple(ont.isa_parents.get(code, ())) + tuple(ont.meddra_parents.get(code, ()))
-        if ps:
-            merged[code] = ps
-    _topo_order(merged, ont.concepts)  # raises CycleError on cycles
+    merged = {
+        code: ont.isa_parents.get(code, ()) + ont.meddra_parents.get(code, ())
+        for code in ont.concepts
+    }
+    _parents_first(merged, ont.concepts)  # raises CycleError on cycles
     orphans = [
         c.code
         for c in ont.concepts.values()
-        if c.level == "PT" and c.code not in merged
+        if c.level == "PT" and not merged[c.code]
     ]
     if orphans:
         raise ValidationError(f"PTs with no path to a root: {quote(sorted(orphans))}")

@@ -314,8 +314,14 @@ def _scenario_echo(s: Scenario) -> dict:
     }
 
 
+# The JSON values an echo field declared with each scalar type may hold. An
+# integer is a number; a boolean is neither, though Python counts it an int.
+_ECHO_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+
+
 def _fields_of(cls, echo: object) -> dict:
-    """echo itself, once it is checked to hold exactly the fields of cls."""
+    """echo itself, once it is checked to hold exactly the fields of cls,
+    each text, integer or number field with a value of that type."""
     if not isinstance(echo, dict):
         raise ValidationError(f"{cls.__name__} echo is not an object: {quote(echo)}")
     names = {f.name for f in dataclasses.fields(cls)}
@@ -324,6 +330,15 @@ def _fields_of(cls, echo: object) -> dict:
             f"{cls.__name__} echo: missing fields {quote(sorted(names - echo.keys()))}, "
             f"unknown fields {quote(sorted(echo.keys() - names))}"
         )
+    for f in dataclasses.fields(cls):
+        value = echo[f.name]
+        if f.type in _ECHO_TYPES and (
+            isinstance(value, bool) or not isinstance(value, _ECHO_TYPES[f.type])
+        ):
+            raise ValidationError(
+                f"{cls.__name__} echo field {f.name} must be {f.type}, "
+                f"got {type(value).__name__}"
+            )
     return echo
 
 

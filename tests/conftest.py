@@ -132,6 +132,15 @@ MALFORMED_ECHOES = {
     "nan-target-ssm": lambda m: m["scenario"]["clusters"][0].update(
         target_ssm=float("nan")
     ),
+    # One field's JSON type changed; each of these rendered before.
+    "name-not-text": lambda m: m["scenario"].update(name=3),
+    "seed-as-boolean": lambda m: m["scenario"].update(seed=False),
+    "onset-as-boolean": lambda m: m["scenario"]["planted"][0].update(onset=True),
+    "groupmates-as-boolean": lambda m: m["scenario"]["clusters"][0].update(
+        n_groupmates=True
+    ),
+    "multiplier-as-text": lambda m: m["scenario"]["planted"][0].update(multiplier="5"),
+    "long-count-as-text": lambda m: m["scenario"].update(n_drugs="9" * 20000),
 }
 
 

@@ -15,13 +15,16 @@ for a sweep parameter, as a second ``--grid`` axis. The contract:
 
 The data half holds ``validate`` and ``run`` to the same contract on a small
 generated data set with one change at a time to one of the five text inputs:
-reports, ontology, reference, ``--drug-filter`` and ``--config``.
+reports, ontology, reference, ``--drug-filter`` and ``--config``; ``sweep``
+with one ``--grid`` value list at a time; and ``generate``, with a malformed
+scenario echo under ``--verify`` or an ``--out`` it cannot write.
 """
 
 import contextlib
 import io
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -32,7 +35,7 @@ from icborrow.cli import main
 from icborrow.evaluate import SWEEP_PARAMS, sweep_points
 from icborrow.pipeline import CONFIG_SCHEMA, parse_config, parse_config_value
 
-from conftest import CHAIN_ONTOLOGY, SIX_REPORTS
+from conftest import CHAIN_ONTOLOGY, MALFORMED_ECHOES, SIX_REPORTS, break_scenario_echo
 
 # The six-report store with its events renamed to the chain ontology's PTs,
 # so that both borrowing methods find sources: L1 and L2 share an HLGT, and
@@ -250,6 +253,7 @@ DATA_EDITS = {
         "unknown row tag": (_append("X\tGRP00\tROOT\tISA"), 2),
         "ISA cycle": (_append("E\tROOT\tGRP00\tISA"), 2),
         "MEDDRA cycle": (_append("E\tSOC0\tHLG000\tMEDDRA"), 2),
+        "ISA and MEDDRA cycle": (_append("E\tSOC0\tHLT000\tISA"), 2),
         "self loop": (_append("E\tROOT\tROOT\tISA"), 2),
         "PT with no parent": (_append("N\tPT9999\tPT\tlonely"), 2),
         "long PT code with no parent": (_append(f"N\t{LONG}\tPT\tlonely"), 2),
@@ -383,3 +387,84 @@ def test_data_contract(dataset, tmp_path, capsys, name, change):
             _documented_outputs("run", tmp_path / "o" / "out")
         if command == "run":
             assert os.listdir(tmp_path / "o") == (["out"] if code == 0 else [])
+
+
+# One --grid value list each, and the exit code it must give. A value of
+# 20 000 nines parses as inf: out of range for w, a valid threshold.
+GRID_EDITS = {
+    "empty value": ("w=", 2),
+    "empty item": ("w=0.5,", 2),
+    "repeated value": ("w=0.5,0.5", 2),
+    "repeated label": ("w=0.5,0.50", 2),
+    "value out of range": ("w=1.5", 2),
+    "long number": ("w=" + LONG, 2),
+    "long text": ("w=" + "x" * 20000, 2),
+    "long threshold": ("threshold=" + LONG, 0),
+    "two values": ("w=0.5,0.8", 0),
+}
+
+
+@pytest.mark.parametrize("change", sorted(GRID_EDITS))
+def test_grid_contract(dataset, tmp_path, capsys, change):
+    grid, want = GRID_EDITS[change]
+    args = ["--methods", "IC_SSM", "--n-samples", "1000", "--threads", "1",
+            "--grid", grid]
+    (tmp_path / "o").mkdir()
+    out = tmp_path / "o" / "out"
+    capsys.readouterr()
+    code = main(["sweep", "--reports", str(dataset / "reports.tsv"),
+                 "--ontology", str(dataset / "ontology.tsv"),
+                 "--reference", str(dataset / "reference.tsv"),
+                 "--out", str(out)] + args)
+    _, err = capsys.readouterr()
+    assert code == want, err
+    if code:
+        payload = _one_json_error(err, code)
+        assert len(err) < 300, payload
+        assert os.listdir(tmp_path / "o") == []
+    else:
+        _check_outputs(("sweep", None, None, "grid"), args, out)
+
+
+def _short_lines(text: str) -> None:
+    assert "Traceback" not in text
+    assert all(len(line) < 300 for line in text.splitlines()), text[:300]
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_ECHOES))
+def test_verify_contract(dataset, tmp_path, capsys, caplog, kind):
+    copy = tmp_path / "copy"
+    shutil.copytree(dataset, copy)
+    break_scenario_echo(copy, MALFORMED_ECHOES[kind])
+    capsys.readouterr()
+    code = main(["generate", "--verify", str(copy)])
+    out, err = capsys.readouterr()
+    assert code == 2, err
+    assert out == json.dumps({"verified": False, "dir": str(copy)}) + "\n"
+    assert "cannot regenerate the scenario" in caplog.text
+    _short_lines(err)
+    _short_lines(caplog.text)
+
+
+@pytest.mark.parametrize("where", ["existing file", "under a file", "missing parents"])
+def test_generate_out_contract(tmp_path, capsys, where):
+    # --out is made with its missing parents; a file in its place is an I/O
+    # failure that leaves the file as it was and writes nothing else.
+    (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+    out = {"existing file": tmp_path / "file",
+           "under a file": tmp_path / "file" / "data",
+           "missing parents": tmp_path / "a" / "b" / "data"}[where]
+    capsys.readouterr()
+    code = main(["generate", "--preset", "basic", "--n-reports", "300",
+                 "--n-quarters", "3", "--out", str(out)])
+    _, err = capsys.readouterr()
+    if where == "missing parents":
+        assert code == 0, err
+        assert sorted(os.listdir(out)) == ["manifest.json", "ontology.tsv",
+                                           "reference.tsv", "reports.tsv"]
+        assert main(["generate", "--verify", str(out)]) == 0
+        return
+    payload = _one_json_error(err, 1)
+    assert len(err) < 300, payload
+    assert os.listdir(tmp_path) == ["file"]
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"

@@ -19,6 +19,19 @@ def posterior_gamma(table):
     return [alpha + count for alpha, count in zip(default_prior(table), counts)]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="c = 0 artifact: cell c's prior shrinks with the event margin, so "
+    "one report with no other drug's report of the event is called certain",
+)
+def test_one_report_with_no_other_reports_of_its_event_is_not_certain():
+    # One report of the pair among 66 of the drug, none of the event for
+    # other drugs, 375 in all. Today ci_low is 2.19: a signal from one report.
+    posterior = posterior_ic(ContingencyTable(1, 65, 0, 309), n_samples=100_000, seed=0)
+    assert posterior.ci_low <= 0
+
+
 def test_default_prior_symmetric_table():
     prior = default_prior(ContingencyTable(25, 25, 25, 25))
     assert prior == pytest.approx((0.5, 0.5, 0.5, 0.5), abs=1e-15)

@@ -1,10 +1,13 @@
+import ast
 import math
+import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icborrow import RunConfig, build_similarity, load_ontology
+from icborrow import RunConfig, build_similarity, errors, load_ontology
 from icborrow.errors import CycleError, ValidationError
 from icborrow.ontology import LEVELS
 
@@ -232,6 +235,84 @@ def test_random_dags_match_brute_force(seed, n_nodes):
             assert s == pytest.approx(brute_sokal(parents, codes, a, b), abs=1e-12)
             assert 0.0 <= s <= 1.0
             assert s == pytest.approx(ont.sokal_sneath(b, a), abs=0.0)
+
+
+def _ontology_text(codes, isa, meddra) -> str:
+    rows = [f"N\t{c}\tOTHER\t{c.lower()}" for c in codes]
+    for kind, parents in (("ISA", isa), ("MEDDRA", meddra)):
+        rows += [f"E\t{c}\t{p}\t{kind}" for c, ps in parents.items() for p in ps]
+    return "\n".join(rows) + "\n"
+
+
+def _has_cycle(parents) -> bool:
+    return any(c in bfs_ancestors(parents, p) for c, ps in parents.items() for p in ps)
+
+
+def _named_cycle(err) -> list[str]:
+    prefix = "cycle detected: "
+    message = str(err.value)
+    assert message.startswith(prefix)
+    return ast.literal_eval(message[len(prefix):]).split(" -> ")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(2, 30),
+    st.sampled_from(["ISA", "MEDDRA", "both"]),
+)
+def test_planted_cycle_is_named(tmp_path_factory, seed, n_nodes, where):
+    # One back edge: an ancestor of a code (the code itself included) gets
+    # that code as a parent. Under "both" the ancestor is an ISA one and the
+    # back edge is a MEDDRA one, so only the merged graph has a cycle.
+    rng = np.random.default_rng(seed)
+    codes = [f"C{i:03d}" for i in range(n_nodes)]
+    isa, meddra = random_dag(rng, n_nodes), random_dag(rng, n_nodes)
+    home = meddra if where == "MEDDRA" else isa
+    child = codes[int(rng.integers(1, n_nodes))]
+    ups = bfs_ancestors(home, child)
+    into = home
+    if where == "both":
+        ups.discard(child)
+        meddra.pop(child, None)  # so the MEDDRA edges alone close no cycle
+        into = meddra
+    top = str(rng.choice(sorted(ups)))
+    into[top] = tuple(sorted({*into.get(top, ()), child}))
+    assert (_has_cycle(isa), _has_cycle(meddra)) == (where == "ISA", where == "MEDDRA")
+
+    path = tmp_path_factory.mktemp("cycle") / "ontology.tsv"
+    path.write_text(_ontology_text(codes, isa, meddra), encoding="utf-8")
+    with patch.object(errors, "QUOTE_CHARS", 10**6), pytest.raises(CycleError) as err:
+        load_ontology(str(path))
+    steps = _named_cycle(err)
+    assert len(steps) >= 2 and steps[0] == steps[-1]
+    assert len(set(steps)) == len(steps) - 1
+    for a, b in zip(steps, steps[1:]):
+        assert b in isa.get(a, ()) + meddra.get(a, ())
+
+
+def test_deep_isa_chain_loads_without_recursion(tmp_path):
+    # Each code sorts before its parent, so the walk starts at the leaf and
+    # its open path grows to the whole chain, deeper than Python recursion.
+    depth = 2000
+    assert depth > sys.getrecursionlimit()
+    codes = [f"C{i:04d}" for i in range(depth + 1)]
+    isa = {child: (parent,) for child, parent in zip(codes, codes[1:])}
+    path = tmp_path / "chain.tsv"
+    path.write_text(_ontology_text(codes, isa, {}), encoding="utf-8")
+    ont = load_ontology(str(path))
+    assert ont.ancestors(codes[0]) == bfs_ancestors(isa, codes[0])
+    assert ont.intrinsic_ic()[codes[-1]] == 0.0
+
+    # Closed from the root back to the leaf, the cycle is the whole chain.
+    isa[codes[-1]] = (codes[0],)
+    path.write_text(_ontology_text(codes, isa, {}), encoding="utf-8")
+    with pytest.raises(CycleError) as err:
+        load_ontology(str(path))
+    assert len(str(err.value)) < 300
+    with patch.object(errors, "QUOTE_CHARS", 10**6), pytest.raises(CycleError) as err:
+        load_ontology(str(path))
+    assert _named_cycle(err) == codes + codes[:1]
 
 
 @settings(max_examples=40, deadline=None)

@@ -205,6 +205,22 @@ def test_index_dtype_narrows_below_2_31():
     assert reports._index_dtype(2**40) == np.int64
 
 
+def test_int64_columns_load_the_same_store(tmp_path):
+    # No test file is large enough for _index_dtype's int64 branch, so it is
+    # forced: every column that narrows to int32 is built as int64 instead.
+    rng = np.random.default_rng(0)
+    drugs = [f"D{i}" for i in range(40)]
+    events = [f"E{i}" for i in range(60)]
+    path = tmp_path / "reports.tsv"
+    path.write_text(_report_lines(_multi_code_rows(rng, 3000, 1500, drugs, events)),
+                    encoding="utf-8")
+    narrow = store_state(load_reports(str(path)))
+    with patch.object(reports, "_index_dtype", return_value=np.dtype(np.int64)) as wide:
+        assert store_state(load_reports(str(path))) == narrow
+    assert wide.call_count > 0
+    assert narrow == store_state(load_reports_by_line(str(path)))
+
+
 def test_keys_past_2_31_match_the_line_loop_and_a_rescan(tmp_path):
     # 3000 reports, each with its own drug and event, spread over the 240
     # quarters 1960Q1-2019Q4: the keys (drug * 3000 + event) * 240 + quarter
@@ -309,24 +325,34 @@ GAPPED_QUARTERS = ["2015Q1", "2015Q3", "2016Q2"]
 CUTOFFS = ["2015Q1", "2015Q2", "2015Q3", "2016Q1", "2016Q2", "2017Q4"]
 
 
+def _multi_code_rows(rng, n_rows, n_ids, drugs, events):
+    """(id, quarter, drugs, events) rows over GAPPED_QUARTERS; ids repeat,
+    and codes are drawn with replacement, so a report can name one twice."""
+    rows = []
+    for _ in range(n_rows):
+        rid = f"R{int(rng.integers(0, n_ids))}"
+        q = GAPPED_QUARTERS[int(rng.integers(0, 3))]
+        ds = [str(x) for x in rng.choice(drugs, size=int(rng.integers(1, 4)))]
+        es = [str(x) for x in rng.choice(events, size=int(rng.integers(1, 4)))]
+        rows.append((rid, q, ds, es))
+    return rows
+
+
+def _report_lines(rows) -> str:
+    return "".join(f"{rid}\t{q}\t{';'.join(ds)}\t{';'.join(es)}\n" for rid, q, ds, es in rows)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_loaded_counts_match_rescan_across_gaps_and_duplicates(tmp_path_factory, seed):
     rng = np.random.default_rng(seed)
     drugs = [f"D{i}" for i in range(4)]
     events = [f"E{i}" for i in range(6)]
-    lines = []
-    latest = {}  # report id -> its last row: the one load_reports keeps
-    for _ in range(int(rng.integers(1, 120))):
-        rid = f"R{int(rng.integers(0, 60))}"
-        q = GAPPED_QUARTERS[int(rng.integers(0, 3))]
-        # Drawn with replacement, so a report can name a code twice (D1;D1).
-        ds = [str(x) for x in rng.choice(drugs, size=int(rng.integers(1, 4)))]
-        es = [str(x) for x in rng.choice(events, size=int(rng.integers(1, 4)))]
-        lines.append(f"{rid}\t{q}\t{';'.join(ds)}\t{';'.join(es)}\n")
-        latest[rid] = (q, set(ds), set(es))
+    rows = _multi_code_rows(rng, int(rng.integers(1, 120)), 60, drugs, events)
+    # report id -> its last row: the one load_reports keeps
+    latest = {rid: (q, set(ds), set(es)) for rid, q, ds, es in rows}
     path = tmp_path_factory.mktemp("gaps") / "reports.tsv"
-    path.write_text("".join(lines), encoding="utf-8")
+    path.write_text(_report_lines(rows), encoding="utf-8")
     loaded = load_reports(str(path))
     rows = [(rid, q, ds, es) for rid, (q, ds, es) in latest.items()]
     built = make_store(rows)
