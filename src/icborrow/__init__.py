@@ -10,7 +10,7 @@ Submodule map:
 - ``pipeline``: seeded batch screening across quarters and methods
 - ``evaluate``: reference-set scoring, comparisons, bootstrap, sweeps
 - ``synth``: ground-truth synthetic data generation
-- ``cli``: the ``icborrow`` command
+- ``cli``: the ``icborrow`` command and the writers of its output files
 """
 
 from ._version import __version__

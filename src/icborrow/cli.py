@@ -1,8 +1,13 @@
-"""Command-line interface.
+"""Command-line interface, and the one writer of every output file.
 
 Subcommands: validate, run, evaluate, compare, sweep, generate. Exit codes:
 0 success, 1 I/O failure, 2 validation failure, 3 numerical failure. Errors
 are emitted as one-line JSON objects on stderr; stdout carries data only.
+
+``pipeline`` and ``evaluate`` compute records; this module alone knows the
+output formats: the results, metrics, compare, sweep and bootstrap writers,
+their one number format (``_fmt``), and the ``_OUTPUT_DOCS`` that each
+output directory's README.md is made from.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from .evaluate import (
     MIN_BOOTSTRAP_ITER,
     POSITIVE,
     SWEEP_PARAMS,
+    Comparison,
+    MetricsReport,
+    SweepRow,
     bootstrap,
     check_negative_controls,
     compare_methods,
@@ -31,16 +39,14 @@ from .evaluate import (
     quarterly_curves,
     score,
     sweep_points,
-    write_bootstrap_json,
-    write_compare_csv,
-    write_metrics_csv,
-    write_sweep_csv,
 )
 from .ontology import build_similarity, load_ontology
 from .pipeline import (
     CONFIG_SCHEMA,
     METHOD_HLGT,
+    METHOD_IC,
     METHOD_SSM,
+    PairResult,
     QuarterlyRun,
     RunConfig,
     RunContext,
@@ -48,8 +54,8 @@ from .pipeline import (
     parse_config,
     parse_config_value,
     run_quarters,
-    write_results_csv,
 )
+from .quarters import Quarter
 from .reports import load_reports
 from .synth import PRESETS, generate, verify_manifest
 
@@ -152,6 +158,80 @@ _OUTPUT_DOCS = {
         "--config to replay the run"
     ),
 }
+
+
+def _fmt(value: float | None) -> str:
+    """The one number format of every CSV output: 6 decimals, empty for None."""
+    return "" if value is None else f"{value:.6f}"
+
+
+_BASE_COLUMNS = "drug,event,cutoff,a,b,c,d,oe,pme,var,ci_low,ci_high,signal"
+_BORROW_COLUMNS = _BASE_COLUMNS + ",method,s_count,tau2,w,w_tilde,map_mu,map_v"
+_METRIC_COLUMNS = "tp,fp,tn,fn,sensitivity,specificity,ppv,f1,youden"
+
+
+def write_results_csv(results: list[PairResult], method: str, path: str) -> None:
+    """One method's rows of ``results``, in their order, as a CSV file."""
+    borrowing = method != METHOD_IC
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write((_BORROW_COLUMNS if borrowing else _BASE_COLUMNS) + "\n")
+        for r in results:
+            if r.method != method:
+                continue
+            row = (
+                f"{r.drug},{r.event},{r.cutoff},{r.a},{r.b},{r.c},{r.d},"
+                f"{_fmt(r.oe)},{_fmt(r.pme)},{_fmt(r.variance)},"
+                f"{_fmt(r.ci_low)},{_fmt(r.ci_high)},{int(r.signal)}"
+            )
+            if borrowing:
+                row += (
+                    f",{method},{r.s_count},{_fmt(r.tau2)},{_fmt(r.w)},"
+                    f"{_fmt(r.w_tilde)},{_fmt(r.map_mu)},{_fmt(r.map_v)}"
+                )
+            fh.write(row + "\n")
+
+
+def _metric_fields(report: MetricsReport) -> str:
+    return (
+        f"{report.tp},{report.fp},{report.tn},{report.fn},"
+        f"{_fmt(report.sensitivity)},{_fmt(report.specificity)},"
+        f"{_fmt(report.ppv)},{_fmt(report.f1)},{_fmt(report.youden)}"
+    )
+
+
+def write_metrics_csv(
+    curves_by_method: dict[str, dict[Quarter, MetricsReport]], path: str
+) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"quarter,method,{_METRIC_COLUMNS}\n")
+        for method in sorted(curves_by_method):
+            for q, report in sorted(curves_by_method[method].items()):
+                fh.write(f"{q},{method},{_metric_fields(report)}\n")
+
+
+def write_compare_csv(comparison: Comparison, path: str, deltas_path: str) -> None:
+    c = comparison
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(
+            "method_a,method_b,both,only_a,only_b,neither,evaluated,"
+            "n_imputed,mean_delta_quarters\n"
+            f"{c.method_a},{c.method_b},{c.both},{c.only_a},{c.only_b},"
+            f"{c.neither},{c.evaluated},{c.n_imputed},{_fmt(c.mean_delta)}\n"
+        )
+    observed, imputed = c.deltas_observed, c.deltas_imputed
+    with open(deltas_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("delta_quarters,observed_count,imputed_count\n")
+        for d in sorted(set(observed) | set(imputed)):
+            fh.write(f"{d},{observed.get(d, 0)},{imputed.get(d, 0)}\n")
+
+
+def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"param,value,method,{_METRIC_COLUMNS}\n")
+        for row in rows:
+            fh.write(
+                f"{row.param},{row.value},{row.method},{_metric_fields(row.report)}\n"
+            )
 
 
 @contextlib.contextmanager
@@ -268,7 +348,8 @@ def _cmd_evaluate(args: argparse.Namespace, config: RunConfig, outdir: str) -> N
             seed=config.seed,
             strict_before=not args.non_strict,
         )
-        write_bootstrap_json(result, os.path.join(outdir, "bootstrap.json"))
+        with open(os.path.join(outdir, "bootstrap.json"), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
     for method in config.methods:
         report = score(run.first_alerts[method], entries,
                        strict_before=not args.non_strict)

@@ -4,12 +4,13 @@ Positive controls carry the quarter their product label changed; an alert
 only counts as a true positive when it lands strictly before that quarter
 (configurable to non-strict). Positives alerted at or after their label
 quarter are excluded from the confusion counts entirely. Negative controls
-count as false positives when alerted at any time.
+count as false positives when alerted at any time. Every function here
+returns records; ``cli`` writes them to the metrics, compare, sweep and
+bootstrap files.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -54,6 +55,9 @@ def load_reference(path: str) -> list[ReferenceEntry]:
                 f"{path}:{lineno}: reference row needs 3 or 4 tab-separated fields"
             )
         drug, pt, kind = fields[0], fields[1], fields[2]
+        for name, code in (("drug", drug), ("PT", pt)):
+            if not code:
+                raise ValidationError(f"{path}:{lineno}: empty {name} code")
         if kind not in (POSITIVE, NEGATIVE):
             raise ValidationError(f"{path}:{lineno}: unknown control kind {quote(kind)}")
         label = None
@@ -411,68 +415,3 @@ def _sweep_label(value) -> str:
     # + 0.0 turns -0.0, which screens as 0.0, into 0.0: one label, "0".
     return value if isinstance(value, str) else f"{float(value) + 0.0:g}"
 
-
-# -- serialization ---------------------------------------------------------------
-
-
-def _metric_fields(report: MetricsReport) -> str:
-    def fmt(x: float | None) -> str:
-        return "" if x is None else f"{x:.6f}"
-
-    return (
-        f"{report.tp},{report.fp},{report.tn},{report.fn},"
-        f"{fmt(report.sensitivity)},{fmt(report.specificity)},"
-        f"{fmt(report.ppv)},{fmt(report.f1)},{fmt(report.youden)}"
-    )
-
-
-_METRIC_COLUMNS = "tp,fp,tn,fn,sensitivity,specificity,ppv,f1,youden"
-
-
-def write_metrics_csv(
-    curves_by_method: dict[str, dict[Quarter, MetricsReport]], path: str
-) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"quarter,method,{_METRIC_COLUMNS}\n")
-        for method in sorted(curves_by_method):
-            for q in sorted(curves_by_method[method]):
-                fh.write(f"{q},{method},{_metric_fields(curves_by_method[method][q])}\n")
-
-
-def write_compare_csv(comparison: Comparison, path: str, deltas_path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            "method_a,method_b,both,only_a,only_b,neither,evaluated,"
-            "n_imputed,mean_delta_quarters\n"
-        )
-        mean = "" if comparison.mean_delta is None else f"{comparison.mean_delta:.6f}"
-        fh.write(
-            f"{comparison.method_a},{comparison.method_b},{comparison.both},"
-            f"{comparison.only_a},{comparison.only_b},{comparison.neither},"
-            f"{comparison.evaluated},{comparison.n_imputed},{mean}\n"
-        )
-    all_deltas = sorted(
-        set(comparison.deltas_observed) | set(comparison.deltas_imputed)
-    )
-    with open(deltas_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("delta_quarters,observed_count,imputed_count\n")
-        for d in all_deltas:
-            fh.write(
-                f"{d},{comparison.deltas_observed.get(d, 0)},"
-                f"{comparison.deltas_imputed.get(d, 0)}\n"
-            )
-
-
-def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"param,value,method,{_METRIC_COLUMNS}\n")
-        for row in rows:
-            fh.write(
-                f"{row.param},{row.value},{row.method},{_metric_fields(row.report)}\n"
-            )
-
-
-def write_bootstrap_json(result: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")

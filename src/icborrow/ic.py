@@ -117,6 +117,9 @@ def posterior_ic(table: ContingencyTable, *, n_samples: int, seed: int) -> IcPos
     # The float sequences of ndarray.mean and ndarray.var(ddof=1). Pairwise
     # summation depends on element order, so both precede the partition.
     pme = ic.sum() / n_samples
+    if not np.isfinite(pme):
+        # (p_a + p_b)(p_a + p_c) can underflow to 0 when every cell but d is 0.
+        raise NumericalError(f"information component of {table} is not finite")
     dev = ic - pme
     dev *= dev
     variance = dev.sum() / (n_samples - 1)

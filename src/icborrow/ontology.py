@@ -242,6 +242,8 @@ def load_ontology(path: str) -> Ontology:
                     f"{path}:{lineno}: node row needs 4 tab-separated fields"
                 )
             _, code, level, label = fields
+            if not code:
+                raise ValidationError(f"{path}:{lineno}: empty concept code")
             if level not in LEVELS:
                 raise ValidationError(f"{path}:{lineno}: unknown level {quote(level)}")
             if code in concepts:

@@ -3,7 +3,8 @@
 Per-pair Monte Carlo streams are keyed by a hash of (run seed, drug, event,
 cutoff), so a run gives bit-identical results regardless of worker count
 or evaluation order, and the plain information component computed for a pair
-can be reused both as a target and as a borrowing source.
+can be reused both as a target and as a borrowing source. The verdicts are
+records (``PairResult``); ``cli.write_results_csv`` writes them.
 """
 
 from __future__ import annotations
@@ -433,35 +434,3 @@ def run_quarters(ctx: RunContext) -> QuarterlyRun:
             first[r.method].setdefault((r.drug, r.event), r.cutoff)
     return QuarterlyRun(results=results, first_alerts=first, quarters=quarters)
 
-
-# -- output -------------------------------------------------------------------
-
-_BASE_COLUMNS = (
-    "drug,event,cutoff,a,b,c,d,oe,pme,var,ci_low,ci_high,signal"
-)
-_BORROW_COLUMNS = _BASE_COLUMNS + ",method,s_count,tau2,w,w_tilde,map_mu,map_v"
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
-def write_results_csv(results: list[PairResult], method: str, path: str) -> None:
-    """One method's rows of ``results``, in their order, as a CSV file."""
-    borrowing = method != METHOD_IC
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write((_BORROW_COLUMNS if borrowing else _BASE_COLUMNS) + "\n")
-        for r in results:
-            if r.method != method:
-                continue
-            row = (
-                f"{r.drug},{r.event},{r.cutoff},{r.a},{r.b},{r.c},{r.d},"
-                f"{_fmt(r.oe)},{_fmt(r.pme)},{_fmt(r.variance)},"
-                f"{_fmt(r.ci_low)},{_fmt(r.ci_high)},{int(r.signal)}"
-            )
-            if borrowing:
-                row += (
-                    f",{method},{r.s_count},{_fmt(r.tau2)},{_fmt(r.w)},"
-                    f"{_fmt(r.w_tilde)},{_fmt(r.map_mu)},{_fmt(r.map_v)}"
-                )
-            fh.write(row + "\n")

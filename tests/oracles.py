@@ -5,14 +5,18 @@ graph walks, digamma identities, dense grid searches, and quadrature. None
 of it shares code with the package under test, except that
 ``load_reports_by_line`` parses quarters with ``Quarter.parse`` and hands
 its columns to the package's own ``ReportStore`` build, so that a
-comparison covers the line parse alone, and that the scoring loops return
-the package's ``MetricsReport`` and ``Comparison`` records.
+comparison covers the line parse alone, that ``reference_screen`` also
+parses quarters with ``Quarter.parse`` and reads its settings off a
+``RunConfig``, and that the scoring loops return the package's
+``MetricsReport`` and ``Comparison`` records.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -52,19 +56,20 @@ def seco_ic(parents: dict, codes: list[str]) -> dict[str, float]:
     return {c: 1.0 - math.log(counts[c] + 1) / math.log(n) for c in codes}
 
 
-def brute_mica_ic(parents: dict, codes: list[str], a: str, b: str) -> float:
-    ic = seco_ic(parents, codes)
+def brute_mica_ic(parents: dict, codes: list[str], a: str, b: str, ic=None) -> float:
+    """``ic``, when given, is ``seco_ic(parents, codes)`` computed once."""
+    ic = seco_ic(parents, codes) if ic is None else ic
     common = bfs_ancestors(parents, a) & bfs_ancestors(parents, b)
     return max((ic[c] for c in common), default=0.0)
 
 
-def brute_sokal(parents: dict, codes: list[str], a: str, b: str) -> float:
+def brute_sokal(parents: dict, codes: list[str], a: str, b: str, ic=None) -> float:
     if a == b:
         return 1.0
-    m = brute_mica_ic(parents, codes, a, b)
+    ic = seco_ic(parents, codes) if ic is None else ic
+    m = brute_mica_ic(parents, codes, a, b, ic)
     if m <= 0.0:
         return 0.0
-    ic = seco_ic(parents, codes)
     return m / (2.0 * ic[a] + 2.0 * ic[b] - 3.0 * m)
 
 
@@ -271,11 +276,13 @@ def ic_moments(gamma, nodes: int = 100) -> tuple[float, float, float]:
 # -- REML ------------------------------------------------------------------------
 
 
-def grid_reml_tau2(y, v, step: float = 1e-4, tau2_max: float = 10.0) -> float:
+def grid_reml_tau2(
+    y, v, step: float = 1e-4, tau2_max: float = 10.0, tau2_min: float = 0.0
+) -> float:
     """Argmax of the restricted log-likelihood over a dense tau^2 grid."""
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
-    grid = np.arange(0.0, tau2_max + step, step)
+    grid = np.arange(tau2_min, tau2_max + step, step)
     w = 1.0 / (v[None, :] + grid[:, None])
     sw = w.sum(axis=1)
     mu = (w * y[None, :]).sum(axis=1) / sw
@@ -437,3 +444,193 @@ def loop_bootstrap(
         f"{a}>{b}": {m: wins[(a, b, m)] / n_iter for m in metrics} for a, b in pairs
     }
     return {"n_iter": n_iter, "seed": seed, "fractions": fractions}
+
+
+# -- the whole screen ----------------------------------------------------------
+
+
+def _data_rows(data_dir: str, name: str):
+    """Tab-split fields of each line of a file that is neither blank nor a
+    comment."""
+    with open(os.path.join(data_dir, name), encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            head = line.lstrip()
+            if head and head[0] != "#":
+                yield line.split("\t")
+
+
+def marginal_prior(a: int, b: int, c: int, d: int, nu: float = 2.0) -> list[float]:
+    """Dirichlet pseudo-counts nu * q_x * q_y etc., with the drug and event
+    margins q_x, q_y clipped to [1/(n+2), 1 - 1/(n+2)]."""
+    n = a + b + c + d
+    lo = 1.0 / (n + 2)
+    q_x = min(max((a + b) / n, lo), 1.0 - lo)
+    q_y = min(max((a + c) / n, lo), 1.0 - lo)
+    return [
+        nu * q_x * q_y,
+        nu * q_x * (1.0 - q_y),
+        nu * (1.0 - q_x) * q_y,
+        nu * (1.0 - q_x) * (1.0 - q_y),
+    ]
+
+
+def _grid_reml(ics, vics) -> float:
+    """``grid_reml_tau2`` on a coarse grid, widened until its argmax lies
+    inside, then on a fine grid around that argmax. The restricted
+    likelihood of one study is flat in tau^2, so one study gets 0."""
+    if len(ics) == 1:
+        return 0.0
+    top = 10.0
+    while (coarse := grid_reml_tau2(ics, vics, step=1e-2, tau2_max=top)) > top - 0.02:
+        top *= 4.0
+    return grid_reml_tau2(
+        ics, vics, step=1e-5, tau2_min=max(coarse - 0.02, 0.0), tau2_max=coarse + 0.02
+    )
+
+
+def reference_screen(data_dir: str, config) -> dict[str, list[dict]]:
+    """Every row of each ``results_<METHOD>.csv`` that ``icborrow run``
+    writes for ``reports.tsv`` and ``ontology.tsv`` in data_dir under the
+    RunConfig ``config``, rebuilt from the oracles above.
+
+    Tables come from ``rescan_table`` over the reports (a later line of a
+    report id replaces the earlier one), the plain IC from
+    ``numpy_ic_summaries`` under ``marginal_prior`` and the pair's own
+    SHA-256 stream key, similarity from ``brute_sokal`` over ``seco_ic``,
+    HLGT groups from MEDDRA ancestor sets, the heterogeneity from
+    ``grid_reml_tau2`` and the mixture update from ``grid_mixture``.
+
+    Each row maps a column to its expected value: text where the CSV must
+    match exactly, a float where the value comes from a grid oracle, and
+    None where the field must be blank.
+    """
+    reports: dict[str, tuple] = {}
+    for rid, quarter, drugs, events in _data_rows(data_dir, "reports.tsv"):
+        reports[rid] = (
+            Quarter.parse(quarter),
+            set(drugs.split(";")) - {""},
+            set(events.split(";")) - {""},
+        )
+    records = list(reports.values())
+    levels: dict[str, str] = {}
+    isa: dict[str, list[str]] = {}
+    meddra: dict[str, list[str]] = {}
+    for tag, child, second, *rest in _data_rows(data_dir, "ontology.tsv"):
+        if tag == "N":
+            levels[child] = second
+        else:
+            (isa if rest[0] == "ISA" else meddra).setdefault(child, []).append(second)
+    codes = list(levels)
+    pts = sorted(c for c in codes if levels[c] == "PT")
+    ic_of = seco_ic(isa, codes)
+    sims: dict[frozenset, float] = {}
+
+    def ssm(a: str, b: str) -> float:
+        key = frozenset((a, b))
+        if key not in sims:
+            sims[key] = brute_sokal(isa, codes, a, b, ic_of)
+        return sims[key]
+
+    def hlgts(code: str) -> set[str]:
+        return {g for g in bfs_ancestors(meddra, code) - {code} if levels[g] == "HLGT"}
+
+    def neighbors(event: str, method: str) -> list[tuple[str, float]]:
+        if event not in levels:
+            return []
+        if method == "IC_SSM":
+            if levels[event] != "PT":
+                return []
+            scored = ((p, ssm(event, p)) for p in pts if p != event)
+            return [(p, s) for p, s in scored if s > config.min_ssm]
+        own = hlgts(event)
+        return [(p, 1.0) for p in pts if p != event and own & hlgts(p)]
+
+    def fmt(x) -> str:
+        return "" if x is None else f"{x:.6f}"
+
+    posts: dict[tuple, tuple] = {}
+
+    def posterior(drug: str, event: str, cutoff: Quarter) -> tuple:
+        """The pair's table and plain IC summaries at cutoff."""
+        key = (drug, event, cutoff)
+        if key not in posts:
+            table = rescan_table(records, drug, event, cutoff)
+            gamma = [p + n for p, n in zip(marginal_prior(*table), table)]
+            text = f"{config.seed}|{drug}|{event}|{cutoff}"
+            seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+            posts[key] = (table, numpy_ic_summaries(gamma, config.n_samples, seed))
+        return posts[key]
+
+    lo = config.start or min(r[0] for r in records)
+    hi = config.end or max(r[0] for r in records)
+    cutoffs = sorted({r[0] for r in records if lo <= r[0] <= hi})
+    rows: dict[str, list[dict]] = {m: [] for m in config.methods}
+    for cutoff in cutoffs:
+        joint: Counter = Counter()
+        for quarter, drugs, events in records:
+            if quarter <= cutoff:
+                joint.update((d, e) for d in drugs for e in events)
+        targets = sorted(
+            pair for pair, a in joint.items()
+            if a >= config.min_a
+            and (config.drug_filter is None or pair[0] in config.drug_filter)
+        )
+        for drug, event in targets:
+            (a, b, c, d), post = posterior(drug, event, cutoff)
+            n = a + b + c + d
+            expected = (a + b) * (a + c) / n
+            base = {
+                "drug": drug, "event": event, "cutoff": str(cutoff),
+                "a": str(a), "b": str(b), "c": str(c), "d": str(d),
+                "oe": fmt(a / expected if expected else None),
+            }
+            for method in config.methods:
+                row = dict(base)
+                row.update(
+                    pme=fmt(post["pme"]), var=fmt(post["variance"]),
+                    ci_low=fmt(post["ci_low"]), ci_high=fmt(post["ci_high"]),
+                    signal=str(int(post["ci_low"] > config.threshold)),
+                )
+                if method != "IC":
+                    row["method"] = method
+                    row.update(_borrowed(config, post, [
+                        (posterior(drug, p, cutoff)[1], s)
+                        for p, s in neighbors(event, method)
+                        if joint[(drug, p)] >= 1
+                    ]))
+                rows[method].append(row)
+    return rows
+
+
+def _borrowed(config, target: dict, candidates: list[tuple[dict, float]]) -> dict:
+    """The borrowed columns of one row: ``candidates`` are each neighbor's
+    plain IC summaries, with a >= 1, and its similarity."""
+    sources = [(post["pme"], post["variance"], s) for post, s in candidates
+               if post["variance"] > 0.0]
+    row = {"s_count": str(len(sources)), "tau2": None, "w": None, "w_tilde": None,
+           "map_mu": None, "map_v": None}
+    if not sources:
+        return row
+    ics = [ic for ic, _, _ in sources]
+    vics = [vic for _, vic, _ in sources]
+    if config.effects == "fixed":
+        tau2 = 0.0
+    elif config.include_target_in_reml:
+        tau2 = _grid_reml(ics + [target["pme"]], vics + [target["variance"]])
+    else:
+        tau2 = _grid_reml(ics, vics)
+    weights = [s / (vic + tau2) for _, vic, s in sources]
+    total = sum(weights)
+    mu = sum(wt * ic for wt, ic in zip(weights, ics)) / total
+    v = sum(s * s / (vic + tau2) for _, vic, s in sources) / total**2
+    w = max(s for _, _, s in sources) if config.w == "max_ssm" else config.w
+    mean, var, ci_low, ci_high, w_tilde = grid_mixture(
+        mu, v, w, config.vague_sd, target["pme"], target["variance"]
+    )
+    row.update(
+        tau2=tau2, w=w, w_tilde=w_tilde, map_mu=mu, map_v=v,
+        pme=mean, var=var, ci_low=ci_low, ci_high=ci_high,
+        signal=str(int(ci_low > config.threshold)),
+    )
+    return row

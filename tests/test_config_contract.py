@@ -264,6 +264,8 @@ DATA_EDITS = {
         ),
         "long level": (_sub("N\tROOT\tOTHER", "N\tROOT\t" + LONG), 2),
         "byte order mark": (_prepend("\ufeff"), 2),
+        "empty code": (_append("N\t\tPT\tnameless\nE\t\tGRP00\tISA\n"
+                               "E\t\tHLT000\tMEDDRA"), 2),
         "edge given twice": (_append("E\tGRP00\tROOT\tISA"), 0),
         "indented comments": (_prepend(" # x\n\u3000# y\n\t\n"), 0),
         "comments only": (_keep_comments, 0),
@@ -291,6 +293,8 @@ DATA_EDITS = {
         "negative with quarter": (_append("D000\tPT0020\tNEGATIVE\t2016Q1"), 2),
         "long label quarter": (_append("D000\tPT0020\tPOSITIVE\t" + LONG), 2),
         "pair given twice": (_append("D000\tPT0000\tPOSITIVE\t2016Q3"), 2),
+        "empty drug": (_append("\tPT0020\tNEGATIVE"), 2),
+        "empty PT": (_append("D000\t\tNEGATIVE"), 2),
         "PT not in the ontology": (_append("D000\tNOPE\tNEGATIVE"), 0),
         "comments only": (_keep_comments, 0),
     },

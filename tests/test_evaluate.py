@@ -21,11 +21,7 @@ from icborrow import (
     score,
     sweep_points,
 )
-from icborrow.evaluate import (
-    write_compare_csv,
-    write_metrics_csv,
-    write_sweep_csv,
-)
+from icborrow.cli import write_compare_csv, write_metrics_csv, write_sweep_csv
 from icborrow.synth import PRESETS, generate
 
 from oracles import loop_bootstrap, loop_compare, loop_quarterly_curves, loop_score
@@ -69,6 +65,8 @@ def test_load_reference_round_trip(tmp_path):
         "D1\tP1\tPOSITIVE\t",
         "D1\tP1\tNEGATIVE\t2016Q1",
         "D1\tP1\tPOSITIVE\t2016Q9",
+        "\tP1\tNEGATIVE",
+        "D1\t\tPOSITIVE\t2016Q1",
     ],
 )
 def test_load_reference_rejects(tmp_path, row):

@@ -223,6 +223,14 @@ def test_zero_cell_stays_finite():
     assert post.n_floored > 0
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_zero_count_table_raises():
+    # Only d is counted: (p_a + p_b)(p_a + p_c) underflows to 0 on some
+    # draws, and their IC is inf.
+    with pytest.raises(NumericalError, match=r"d=1000\) is not finite"):
+        posterior_ic(ContingencyTable(0, 0, 0, 1000), n_samples=1000, seed=1)
+
+
 def test_seed_determinism():
     table = ContingencyTable(5, 15, 10, 970)
     a = posterior_ic(table, n_samples=5000, seed=42)

@@ -154,6 +154,7 @@ def test_loader_rejects_cycle(tmp_path):
         ("N\tROOT\tOTHER\tdup", "duplicate concept"),
         ("X\tA\tB\tISA", "unknown row tag"),
         ("N\tA\tPT", "4 tab-separated fields"),
+        ("N\t\tPT\tlabel", "empty concept code"),
     ],
 )
 def test_loader_rejects_malformed(tmp_path, line, message):

@@ -1,5 +1,6 @@
-"""The benchmark's traced child wraps package attributes from outside the
-package; these tests check that every wrapped layer still records spans."""
+"""The benchmark's child wraps package attributes from outside the package;
+these tests check that every wrapped layer still records spans when traced,
+and that the timed probe still bounds the screen and counts its rows."""
 
 import json
 import os
@@ -47,37 +48,59 @@ def concordant(tmp_path_factory):
     return data
 
 
-@pytest.mark.parametrize(
-    "command, extra, spans",
-    [
-        ("run", [], RUN_SPANS),
-        ("sweep", ["--reference", "reference.tsv", "--grid", "w=0.5,0.8"],
-         SWEEP_SPANS),
-    ],
-)
-def test_traced_child_records_every_layer(
-    concordant, tmp_path, command, extra, spans
-):
-    record = tmp_path / "record.json"
-    extra = [str(concordant / a) if a.endswith(".tsv") else a for a in extra]
+def run_child(data, workdir, trace, command, extra=()):
+    """perfbench/child.py's record of one icborrow command on data, traced
+    ("1") or timed ("0"), with its --out in workdir/out."""
+    record = workdir / "record.json"
+    extra = [str(data / a) if a.endswith(".tsv") else a for a in extra]
     args = [
         command,
-        "--reports", str(concordant / "reports.tsv"),
-        "--ontology", str(concordant / "ontology.tsv"),
-        "--out", str(tmp_path / "out"),
+        "--reports", str(data / "reports.tsv"),
+        "--ontology", str(data / "ontology.tsv"),
+        "--out", str(workdir / "out"),
         "--methods", "IC,IC_SSM,IC_HLGT",
         "--end", "2015Q1",
         "--n-samples", "1000",
     ] + extra
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(record), "1",
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(record), trace,
          "--", *args],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=600,
+        env=env, cwd=workdir, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    traced = json.loads(record.read_text())
+    return json.loads(record.read_text())
+
+
+SWEEP = ["--reference", "reference.tsv", "--grid", "w=0.5,0.8"]
+
+
+@pytest.mark.parametrize(
+    "command, extra, spans",
+    [("run", [], RUN_SPANS), ("sweep", SWEEP, SWEEP_SPANS)],
+)
+def test_traced_child_records_every_layer(
+    concordant, tmp_path, command, extra, spans
+):
+    traced = run_child(concordant, tmp_path, "1", command, extra)
     recorded = {name for _, name, _, _, _ in traced["spans"]}
     assert spans <= recorded, spans - recorded
     for key in COUNTS:
         assert traced["counts"].get(key, 0) > 0, key
+
+
+def test_timed_child_counts_every_screened_row(concordant, tmp_path):
+    # The timed runs record only the screen's bounds and its result rows:
+    # one row per written results line, once per sweep point.
+    (tmp_path / "run").mkdir()
+    (tmp_path / "sweep").mkdir()
+    timed = run_child(concordant, tmp_path / "run", "0", "run")
+    lines = sum(
+        len(path.read_text(encoding="utf-8").splitlines()) - 1
+        for path in (tmp_path / "run" / "out").glob("results_*.csv")
+    )
+    assert timed["screen_start"] < timed["screen_end"]
+    assert timed["rows"] == lines > 0
+    swept = run_child(concordant, tmp_path / "sweep", "0", "sweep", SWEEP)
+    assert swept["screen_start"] < swept["screen_end"]
+    assert swept["rows"] == 3 * lines

@@ -23,8 +23,8 @@ from icborrow.pipeline import (
     config_snapshot,
     derive_seed,
     parse_config,
-    write_results_csv,
 )
+from icborrow.cli import write_results_csv
 from icborrow.synth import PRESETS, generate
 
 from conftest import make_store
