@@ -112,8 +112,9 @@ def posterior_ic(table: ContingencyTable, *, n_samples: int, seed: int) -> IcPos
     rng = np.random.Generator(np.random.Philox(seed))
     ic = np.empty(n_samples)
     n_floored = 0
-    for start in range(0, n_samples, _BLOCK_ROWS):
-        n_floored += _draw_ic_block(rng, gamma, ic[start : start + _BLOCK_ROWS])
+    with np.errstate(divide="ignore"):  # an inf IC fails the check on pme below
+        for start in range(0, n_samples, _BLOCK_ROWS):
+            n_floored += _draw_ic_block(rng, gamma, ic[start : start + _BLOCK_ROWS])
     # The float sequences of ndarray.mean and ndarray.var(ddof=1). Pairwise
     # summation depends on element order, so both precede the partition.
     pme = ic.sum() / n_samples

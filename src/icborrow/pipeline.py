@@ -38,6 +38,9 @@ RNG_ALGORITHM = "philox"
 # bound lets a replayed effective_config.txt behave the same on every machine.
 MAX_THREADS = 64
 
+# Pairs per pool task: few tasks a cutoff, yet enough for threads to share it evenly.
+_BATCH = 16
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -399,7 +402,9 @@ def run_quarters(ctx: RunContext) -> QuarterlyRun:
 
     The cutoffs are the store's quarters within config.start..config.end.
     At each cutoff the pairs are those with a >= config.min_a whose drug is
-    in the configured drug filter.
+    in the configured drug filter. Cutoffs go one at a time, their pairs in
+    batches of ``_BATCH`` on config.threads threads; a failing pair stops the
+    screen once the running batches end.
     """
     cfg = ctx.config
     all_q = ctx.store.quarters()
@@ -410,24 +415,21 @@ def run_quarters(ctx: RunContext) -> QuarterlyRun:
     quarters = [q for q in all_q if lo <= q <= hi]
     if not quarters:
         raise ValidationError(f"no report quarters within {lo}..{hi}")
-    tasks = [
-        (cutoff, drug, event)
-        for cutoff in quarters
-        for drug, event in ctx.store.active_pairs(
-            cutoff, min_a=cfg.min_a, drugs=cfg.drug_filter
-        )
-    ]
 
-    def work(task: tuple[Quarter, str, str]) -> list[PairResult]:
-        cutoff, drug, event = task
-        return analyze_pair(ctx, drug, event, cutoff)
+    def work(task: tuple[Quarter, list[tuple[str, str]]]) -> list[PairResult]:
+        cutoff, batch = task
+        return [r for d, e in batch for r in analyze_pair(ctx, d, e, cutoff)]
 
-    if cfg.threads == 1:
-        chunks = [work(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(work, tasks))
-    results = [r for chunk in chunks for r in chunk]
+    results: list[PairResult] = []
+    with ThreadPoolExecutor(cfg.threads) as pool:  # starts no thread until used
+        each = map if cfg.threads == 1 else pool.map
+        for cutoff in quarters:
+            pairs = ctx.store.active_pairs(
+                cutoff, min_a=cfg.min_a, drugs=cfg.drug_filter
+            )
+            batches = range(0, len(pairs), _BATCH)
+            for chunk in each(work, [(cutoff, pairs[i : i + _BATCH]) for i in batches]):
+                results.extend(chunk)
     first: dict[str, dict[tuple[str, str], Quarter]] = {m: {} for m in cfg.methods}
     for r in results:
         if r.signal:

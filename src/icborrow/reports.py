@@ -198,13 +198,13 @@ class ReportStore:
 
     Every array the store keeps is int64: the counts, the keys
     ``(drug * n_events + event) * n_quarters + quarter index`` and the
-    pairs' positions among them, 16 bytes per (pair, quarter) incidence
-    and 16 per pair: about 27 bytes a report on 150k reports of one drug
-    and one event each. While it is built, every array indexed by record
-    or by code incidence (record numbers, code ranks, quarter indexes,
-    per-record counts) is int32 when the records, the codes and the code
-    incidences are each below 2**31, and int64 otherwise. The columns are
-    spent by the constructor: each one is dropped once it is read.
+    pairs, 16 bytes per (pair, quarter) incidence and 8 per pair: about 22
+    bytes a report on 150k reports of one drug and one event each. While it
+    is built, every array indexed by record or by code incidence (record
+    numbers, code ranks, quarter indexes, per-record counts) is int32 when
+    the records, the codes and the code incidences are each below 2**31,
+    and int64 otherwise. The columns are spent by the constructor: each one
+    is dropped once it is read.
     """
 
     def __init__(self, cols: _Columns, alive: np.ndarray, warnings: list[str]):
@@ -260,8 +260,7 @@ class ReportStore:
         del keys, first
         pair = self._inc // n_q
         pair_first = _run_starts(pair)
-        self._pair_start = np.flatnonzero(pair_first)
-        self._pair_keys = pair[self._pair_start]
+        self._pair_keys = pair[pair_first]
         del pair
         # A key's count: the end of its run less the start of its pair's
         # first run. Positions grow, so a running maximum carries each
@@ -313,16 +312,15 @@ class ReportStore:
         qi = self._quarter_index(cutoff)
         if qi < 0:
             return []
-        keys, start = self._pair_keys, self._pair_start
-        n_e = len(self._event_names)
+        keys = self._pair_keys
+        n_q, n_e = len(self._ordinals), len(self._event_names)
         if drugs is not None:
             wanted = [self._drug_index[d] for d in drugs if d in self._drug_index]
-            keep = np.isin(keys // n_e, np.array(wanted, dtype=np.int64))
-            keys, start = keys[keep], start[keep]
-        # Each pair's last incidence at or before qi; one before the pair's
-        # run means a first report after the cutoff, so a = 0 there.
-        k = self._inc.searchsorted(keys * len(self._ordinals) + qi, "right") - 1
-        a = np.where(k >= start, self._inc_count[k], 0)
+            keys = keys[np.isin(keys // n_e, np.array(wanted, dtype=np.int64))]
+        # Each pair's last incidence at or before qi, if it is the pair's, as
+        # in contingency; otherwise its first report is after the cutoff.
+        k = self._inc.searchsorted(keys * n_q + qi, "right") - 1
+        a = np.where((k >= 0) & (self._inc[k] // n_q == keys), self._inc_count[k], 0)
         keys = keys[a >= max(min_a, 1)]
         drug_idx = keys // n_e
         names, events = self._drug_names, self._event_names

@@ -557,32 +557,38 @@ def _tree(root):
 @pytest.mark.parametrize("exc", [NumericalError, KeyboardInterrupt])
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_failed_run_leaves_out_as_it_was(dataset, tmp_path, monkeypatch, exc, existing):
-    out = tmp_path / "out"
-    args = (["run"] + io_args(dataset, with_reference=False)
-            + ["--out", str(out), "--methods", "IC,IC_SSM"] + BASE)
-    if existing:
-        assert main(args) == 0
-        before = _tree(out)
-    calls = []
     real = icborrow.pipeline.analyze_pair
+    for threads in (1, 2):
+        root = tmp_path / f"threads{threads}"
+        root.mkdir()
+        out = root / "out"
+        args = (["run"] + io_args(dataset, with_reference=False)
+                + ["--out", str(out), "--methods", "IC,IC_SSM",
+                   "--threads", str(threads)] + BASE)
+        if existing:
+            assert main(args) == 0
+            before = _tree(out)
+        calls = []
 
-    def failing(*a, **kw):
-        calls.append(1)
-        if len(calls) > 3:
-            raise exc("injected")
-        return real(*a, **kw)
+        def failing(*a, **kw):
+            calls.append(1)
+            if len(calls) > 3:
+                raise exc("injected")
+            return real(*a, **kw)
 
-    monkeypatch.setattr(icborrow.pipeline, "analyze_pair", failing)
-    if exc is KeyboardInterrupt:
-        with pytest.raises(KeyboardInterrupt):
-            main(args)
-    else:
-        assert main(args) == 3
-    assert len(calls) == 4
-    if existing:
-        assert _tree(out) == before
-    # no new directory and no partial sibling is left behind
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["out"] if existing else [])
+        monkeypatch.setattr(icborrow.pipeline, "analyze_pair", failing)
+        if exc is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(args)
+        else:
+            assert main(args) == 3
+        monkeypatch.undo()
+        if threads == 1:  # the failing pair stops the screen at once
+            assert len(calls) == 4
+        if existing:
+            assert _tree(out) == before
+        # no new directory and no partial sibling is left behind
+        assert sorted(p.name for p in root.iterdir()) == (["out"] if existing else [])
 
 
 def test_failed_placement_puts_old_out_back(dataset, tmp_path, monkeypatch):

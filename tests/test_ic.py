@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -223,12 +224,13 @@ def test_zero_cell_stays_finite():
     assert post.n_floored > 0
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_zero_count_table_raises():
     # Only d is counted: (p_a + p_b)(p_a + p_c) underflows to 0 on some
-    # draws, and their IC is inf.
-    with pytest.raises(NumericalError, match=r"d=1000\) is not finite"):
-        posterior_ic(ContingencyTable(0, 0, 0, 1000), n_samples=1000, seed=1)
+    # draws, and their IC is inf. The error is raised with no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"d=1000\) is not finite"):
+            posterior_ic(ContingencyTable(0, 0, 0, 1000), n_samples=1000, seed=1)
 
 
 def test_seed_determinism():

@@ -1,8 +1,11 @@
 import math
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import pytest
 
+import icborrow.pipeline
 from icborrow import (
     METHOD_HLGT,
     METHOD_IC,
@@ -17,6 +20,7 @@ from icborrow import (
     run_quarters,
 )
 from icborrow.pipeline import (
+    _BATCH,
     MAX_THREADS,
     METHODS,
     IcCache,
@@ -248,6 +252,43 @@ def test_run_quarters_result_order_and_thread_invariance(basic_run):
     ]
     assert keys == expected
     assert len({k[:3] for k in keys}) > 100
+
+
+@pytest.fixture(scope="module")
+def batched_store():
+    """At min_a 2: no pair at 2015Q1, 3 * _BATCH + 5 pairs at 2015Q2 and
+    4 * _BATCH + 3 at 2015Q3, so neither cutoff is a whole number of batches."""
+    pairs = [(f"D{i // 8:02d}", f"E{i % 8}") for i in range(4 * _BATCH + 3)]
+    rows = [(f"A{i}", "2015Q1", {d}, {e}) for i, (d, e) in enumerate(pairs)]
+    rows += [(f"B{i}", "2015Q2" if i < 3 * _BATCH + 5 else "2015Q3", {d}, {e})
+             for i, (d, e) in enumerate(pairs)]
+    return make_store(rows)
+
+
+def test_run_quarters_batches_each_cutoff(batched_store, monkeypatch):
+    cfg = small_config(methods=(METHOD_IC,), n_samples=1000, min_a=2)
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args[0][0])  # the task's cutoff
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(icborrow.pipeline, "ThreadPoolExecutor", CountingPool)
+    runs = []
+    for threads in (1, 2, 3):
+        submitted.clear()
+        ctx = RunContext(batched_store, replace(cfg, threads=threads))
+        runs.append(run_quarters(ctx))
+        # one task per batch at each cutoff with pairs; none on one thread
+        assert Counter(submitted) == ({} if threads == 1 else {
+            Q("2015Q2"): math.ceil((3 * _BATCH + 5) / _BATCH),
+            Q("2015Q3"): math.ceil((4 * _BATCH + 3) / _BATCH),
+        })
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0].quarters == [Q("2015Q1"), Q("2015Q2"), Q("2015Q3")]
+    per_cutoff = Counter(r.cutoff for r in runs[0].results)
+    assert per_cutoff == {Q("2015Q2"): 3 * _BATCH + 5, Q("2015Q3"): 4 * _BATCH + 3}
 
 
 def test_run_quarters_drug_filter(basic_run):
