@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError, data_lines, quote
 from .ontology import Ontology, build_similarity
-from .pipeline import METHOD_SSM, RunConfig, RunContext, run_quarters
+from .pipeline import METHOD_SSM, IcCache, RunConfig, RunContext, run_quarters
 from .quarters import Quarter
 from .reports import ReportStore
 
@@ -346,7 +346,8 @@ def parameter_sweep(
 ) -> list[SweepRow]:
     """Screen and score each (param, value, config) point of sweep_points.
 
-    Monte Carlo work is shared across points through a common cache, and
+    Every point's context shares one ``IcCache``, so a later point with the
+    same seed and n_samples reads the posteriors an earlier point drew, and
     IC_SSM's similarity is built once from ``ontology`` at the points'
     lowest min_ssm.
     """
@@ -357,13 +358,12 @@ def parameter_sweep(
         floor = min(cfg.min_ssm for _, _, cfg in points)
         similarity = build_similarity(ontology, min_ssm=floor)
 
-    cache = None  # the first point's, shared with every later point
+    cache = IcCache()
     rows: list[SweepRow] = []
     for param, value, cfg in points:
         ctx = RunContext(
             store, cfg, similarity=similarity, ontology=ontology, cache=cache
         )
-        cache = ctx.cache
         run = run_quarters(ctx)
         for method in cfg.methods:
             report = score(

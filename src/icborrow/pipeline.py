@@ -230,31 +230,30 @@ def derive_seed(seed: int, drug: str, event: str, cutoff: Quarter) -> int:
 
 
 class IcCache:
-    """Memoized plain information components, shared across methods and
-    across RunContexts (e.g. sweep points) with the same store, seed and
-    n_samples.
+    """Memoized plain information components.
 
-    Values depend only on (drug, event, cutoff, run seed, n_samples), so
-    concurrent recomputation is harmless: every writer stores the same value.
+    The memo is keyed by every input of a posterior: (drug, event, cutoff,
+    table, run seed, n_samples). So one cache is correct for any stores and
+    configs, and RunContexts given one cache (the methods of a screen, the
+    points of a sweep) share its posteriors. Concurrent recomputation is
+    harmless: every writer stores the same value.
     """
 
-    def __init__(self, store: ReportStore, seed: int, n_samples: int):
-        self.store = store
-        self.seed = seed
-        self.n_samples = n_samples
-        self._memo: dict[tuple[str, str, Quarter], IcPosterior] = {}
+    def __init__(self) -> None:
+        self._memo: dict[tuple, IcPosterior] = {}
 
     def posterior(
-        self, drug: str, event: str, cutoff: Quarter, table: ContingencyTable
+        self, drug: str, event: str, cutoff: Quarter, table: ContingencyTable,
+        config: RunConfig,
     ) -> IcPosterior:
-        """The posterior of one pair; ``table`` is the store's table for it."""
-        key = (drug, event, cutoff)
+        """The posterior of one pair, drawn under config's seed and n_samples."""
+        key = (drug, event, cutoff, table, config.seed, config.n_samples)
         hit = self._memo.get(key)
         if hit is None:
             hit = posterior_ic(
                 table,
-                n_samples=self.n_samples,
-                seed=derive_seed(self.seed, drug, event, cutoff),
+                n_samples=config.n_samples,
+                seed=derive_seed(config.seed, drug, event, cutoff),
             )
             self._memo[key] = hit
         return hit
@@ -264,17 +263,18 @@ class IcCache:
 class RunContext:
     """Shared state for one or more screens over the same store and config.
 
-    A given cache must be over the same store, seed and n_samples, and a
-    given similarity matrix must be built at or below config.min_ssm.
+    A given similarity matrix must be built at or below config.min_ssm. A
+    given cache may be shared with any other contexts, whatever their store
+    or config.
     """
 
     store: ReportStore
     config: RunConfig
     similarity: SimilarityMatrix | None = None
     ontology: Ontology | None = None
-    cache: IcCache | None = None
+    cache: IcCache = field(default_factory=IcCache)
     _neighbor_memo: dict[tuple[str, str], list[tuple[str, float]]] = field(
-        default_factory=dict
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -289,12 +289,6 @@ class RunContext:
                 )
         if METHOD_HLGT in cfg.methods and self.ontology is None:
             raise ValidationError("IC_HLGT requires an ontology")
-        if self.cache is None:
-            self.cache = IcCache(self.store, cfg.seed, cfg.n_samples)
-        elif (self.cache.store, self.cache.seed, self.cache.n_samples) != (
-            self.store, cfg.seed, cfg.n_samples
-        ):
-            raise ValidationError("IC cache is for another store, seed or n_samples")
 
     def neighbors(self, pt: str, method: str) -> list[tuple[str, float]]:
         """(pt, ssm) borrowing candidates for a target PT, sorted by code.
@@ -328,7 +322,7 @@ def _gather_sources(
         table = ctx.store.contingency(drug, pt, cutoff)
         if table.a < 1:
             continue
-        post = ctx.cache.posterior(drug, pt, cutoff, table)
+        post = ctx.cache.posterior(drug, pt, cutoff, table, ctx.config)
         if post.variance <= 0.0:
             log.warning(
                 "skipping degenerate source (%s, %s) at %s", drug, pt, cutoff
@@ -344,7 +338,7 @@ def analyze_pair(
     """All configured methods applied to one pair at one cutoff."""
     cfg = ctx.config
     table = ctx.store.contingency(drug, event, cutoff)
-    target = ctx.cache.posterior(drug, event, cutoff, table)
+    target = ctx.cache.posterior(drug, event, cutoff, table, cfg)
     base = dict(
         drug=drug,
         event=event,

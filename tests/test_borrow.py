@@ -147,6 +147,29 @@ def test_brentq_errors_and_reml_fallback(monkeypatch):
     assert math.isnan(tau2) and not converged
 
 
+def test_brentq_endpoint_roots_and_nan():
+    assert _brentq(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
+    assert _brentq(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-12) == 1.0
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0, xtol=1e-12)
+    # Finite at both ends, NaN at the first step inside the bracket.
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: x if abs(x) == 1.0 else math.nan, -1.0, 1.0, xtol=1e-12)
+
+
+def test_random_effects_rejects_empty_or_unequal_inputs():
+    for ics, vics in (([], []), ([0.5, 1.0], [0.2])):
+        with pytest.raises(ValueError, match="equal-length and non-empty"):
+            reml_tau2(ics, vics)
+    with pytest.raises(ValueError, match="at least one source"):
+        random_effects_map([])
+
+
+def test_robust_prior_rejects_weight_above_one():
+    with pytest.raises(ValueError, match="mixture weight"):
+        RobustPrior(mu=0.0, v=0.25, w=1.5, vague_sd=2.0)
+
+
 def test_random_effects_single_source_equals_fixed():
     sources = [src(1.3, 0.4, 0.9)]
     assert random_effects_map(sources) == fixed_effect_map(sources)

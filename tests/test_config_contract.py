@@ -248,6 +248,8 @@ DATA_EDITS = {
         "node of 3 fields": (_sub("N\tROOT\tOTHER\troot", "N\tROOT\tOTHER"), 2),
         "duplicate node": (_append("N\tROOT\tOTHER\tagain"), 2),
         "unknown edge kind": (_sub("ROOT\tISA", "ROOT\tPART_OF"), 2),
+        "edge of 3 fields": (_sub("ROOT\tISA", "ROOT"), 2),
+        "edge of 5 fields": (_sub("ROOT\tISA", "ROOT\tISA\tISA"), 2),
         "edge to an unknown code": (_append("E\tGRP00\tNOWHERE\tISA"), 2),
         "edge before its nodes": (_prepend("E\tGRP00\tROOT\tISA"), 2),
         "unknown row tag": (_append("X\tGRP00\tROOT\tISA"), 2),

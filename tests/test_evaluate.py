@@ -338,6 +338,14 @@ def test_parameter_sweep_keeps_reference_point(sweep_inputs):
     assert [r.value for r in rows] == ["1", "0"]
 
 
+def test_parameter_sweep_needs_an_ontology_for_ic_ssm(sweep_inputs):
+    store, entries = sweep_inputs
+    config = RunConfig(methods=("IC", "IC_SSM"), n_samples=2_000)
+    points = sweep_points(config, {"threshold": [1.0]})
+    with pytest.raises(ValidationError, match="sweep needs an ontology for IC_SSM"):
+        parameter_sweep(store, entries, points)
+
+
 def test_parameter_sweep_rejects_unknown_param():
     config = RunConfig(methods=("IC",), n_samples=2_000)
     with pytest.raises(ValidationError):

@@ -84,6 +84,14 @@ def test_meddra_grouping(chain_ontology):
     assert chain_ontology.hlt_of("NOT_A_PT") == frozenset()
 
 
+def test_unknown_code_and_level_are_refused(chain_ontology):
+    for a, b in (("NOPE", "L1"), ("L1", "NOPE")):
+        with pytest.raises(ValidationError, match="unknown concept code 'NOPE'"):
+            chain_ontology.sokal_sneath(a, b)
+    with pytest.raises(ValueError, match="unknown level 'LLT'"):
+        chain_ontology.meddra_groups("L1", "LLT")
+
+
 def test_hlgt_neighbors_union_across_groups(tmp_path):
     # PT X sits in two HLGTs; neighbors must be the union of both groups.
     text = "\n".join(
@@ -154,6 +162,8 @@ def test_loader_rejects_cycle(tmp_path):
         ("N\tROOT\tOTHER\tdup", "duplicate concept"),
         ("X\tA\tB\tISA", "unknown row tag"),
         ("N\tA\tPT", "4 tab-separated fields"),
+        ("E\tROOT\tROOT", "edge row needs 4 tab-separated fields"),
+        ("E\tROOT\tROOT\tISA\tx", "edge row needs 4 tab-separated fields"),
         ("N\t\tPT\tlabel", "empty concept code"),
     ],
 )

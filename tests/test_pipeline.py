@@ -27,6 +27,7 @@ from icborrow.pipeline import (
     config_snapshot,
     derive_seed,
     parse_config,
+    posterior_ic,
 )
 from icborrow.cli import write_results_csv
 from icborrow.synth import PRESETS, generate
@@ -88,21 +89,97 @@ def test_derive_seed_is_stable_and_keyed():
     assert all(0 <= k < 2**64 for k in keys)
 
 
-def test_ic_cache_memoizes(six_report_store):
-    cache = IcCache(six_report_store, seed=0, n_samples=1_500)
-    table = six_report_store.contingency("DRUG", "EV", Q("2015Q3"))
-    a = cache.posterior("DRUG", "EV", Q("2015Q3"), table)
-    b = cache.posterior("DRUG", "EV", Q("2015Q3"), table)
-    assert a is b
+def test_ic_cache_memoizes(six_report_store, monkeypatch):
+    q = Q("2015Q3")
+    table = six_report_store.contingency("DRUG", "EV", q)
     cfg = small_config(methods=(METHOD_IC,), seed=0, n_samples=1_500)
+    cache = IcCache()
+    a = cache.posterior("DRUG", "EV", q, table, cfg)
+    assert cache.posterior("DRUG", "EV", q, table, cfg) is a
+    # Two contexts given one cache share it: the second screen draws nothing.
     c1 = RunContext(six_report_store, cfg, cache=cache)
     c2 = RunContext(six_report_store, replace(cfg, threshold=1.0), cache=cache)
     assert c1.cache is c2.cache is cache
-    assert c2.cache.posterior("DRUG", "EV", Q("2015Q3"), table) is a
-    with pytest.raises(ValidationError):
-        RunContext(six_report_store, replace(cfg, seed=1), cache=cache)
-    with pytest.raises(ValidationError):
-        RunContext(six_report_store, replace(cfg, n_samples=2_000), cache=cache)
+    assert RunContext(six_report_store, cfg).cache is not cache
+    run_quarters(c1)
+    draws = []
+    real = icborrow.pipeline.posterior_ic
+
+    def counting(table, **kw):
+        draws.append(table)
+        return real(table, **kw)
+
+    monkeypatch.setattr(icborrow.pipeline, "posterior_ic", counting)
+    run_quarters(c2)
+    assert draws == []
+    assert c2.cache.posterior("DRUG", "EV", q, table, c2.config) is a
+    # Another seed or n_samples, through the shared cache, gets its own
+    # posteriors: those of a fresh cache.
+    for other in (replace(cfg, seed=1), replace(cfg, n_samples=2_000)):
+        shared = run_quarters(RunContext(six_report_store, other, cache=cache))
+        assert shared == run_quarters(RunContext(six_report_store, other))
+        assert shared != run_quarters(c1)
+        post = cache.posterior("DRUG", "EV", q, table, other)
+        assert post == IcCache().posterior("DRUG", "EV", q, table, other)
+        assert post != a
+    assert cache.posterior("DRUG", "EV", q, table, cfg) is a
+
+
+def test_ic_cache_keys_on_the_table(six_report_store):
+    # A second store in which (DRUG, EV) has another table at 2015Q3.
+    other = make_store([
+        ("R1", "2015Q1", {"DRUG"}, {"EV"}),
+        ("R2", "2015Q2", {"OTHER_DRUG"}, {"EV"}),
+        ("R3", "2015Q3", {"DRUG"}, {"OTHER_EV"}),
+    ])
+    q = Q("2015Q3")
+    cfg = small_config(methods=(METHOD_IC,), seed=0, n_samples=1_500)
+    stores = (six_report_store, other)
+    tables = [s.contingency("DRUG", "EV", q) for s in stores]
+    assert tables[0] != tables[1]
+    cache = IcCache()
+    for store in stores:
+        shared = run_quarters(RunContext(store, cfg, cache=cache))
+        assert shared == run_quarters(RunContext(store, cfg))
+    seed = derive_seed(cfg.seed, "DRUG", "EV", q)
+    got = [cache.posterior("DRUG", "EV", q, t, cfg) for t in tables]
+    assert got == [posterior_ic(t, n_samples=cfg.n_samples, seed=seed) for t in tables]
+    assert got[0] != got[1]
+
+
+def test_degenerate_source_is_skipped(chain_ontology, monkeypatch, caplog):
+    # (DRUG, L1) is the one active pair at min_a 2; L2, its only similarity
+    # neighbour above min_ssm 0.1 (ssm 0.2), is a source with a = 1.
+    store = make_store([
+        ("R1", "2015Q1", {"DRUG"}, {"L1"}),
+        ("R2", "2015Q1", {"DRUG"}, {"L1"}),
+        ("R3", "2015Q1", {"DRUG"}, {"L2"}),
+        ("R4", "2015Q1", {"OTHER_DRUG"}, {"L1"}),
+        ("R5", "2015Q1", {"OTHER_DRUG"}, {"L2"}),
+        ("R6", "2015Q1", {"OTHER_DRUG"}, {"P"}),
+    ])
+    cfg = small_config(min_ssm=0.1, min_a=2)
+    ctx = RunContext(
+        store, cfg, similarity=build_similarity(chain_ontology, min_ssm=0.1)
+    )
+    assert ctx.neighbors("L1", METHOD_SSM) == [("L2", pytest.approx(0.2))]
+    source_seed = derive_seed(cfg.seed, "DRUG", "L2", Q("2015Q1"))
+    real = icborrow.pipeline.posterior_ic
+
+    def degenerate_source(table, *, n_samples, seed):
+        post = real(table, n_samples=n_samples, seed=seed)
+        return replace(post, variance=0.0) if seed == source_seed else post
+
+    monkeypatch.setattr(icborrow.pipeline, "posterior_ic", degenerate_source)
+    caplog.set_level("WARNING", logger="icborrow.pipeline")
+    plain, borrowed = run_quarters(ctx).results
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipping degenerate source (DRUG, L2) at 2015Q1"
+    ]
+    assert (plain.method, borrowed.method) == (METHOD_IC, METHOD_SSM)
+    assert borrowed.event == "L1" and borrowed.s_count == 0
+    summary = ("pme", "variance", "ci_low", "ci_high", "signal")
+    assert [getattr(borrowed, f) for f in summary] == [getattr(plain, f) for f in summary]
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,14 @@ def test_verify_manifest_requires_manifest(tmp_path):
     assert not verify_manifest(str(tmp_path))
 
 
+def test_verify_manifest_requires_every_file(basic_dir, tmp_path, caplog):
+    copy = tmp_path / "basic"
+    shutil.copytree(basic_dir[0], copy)
+    (copy / "reports.tsv").unlink()
+    assert not verify_manifest(str(copy))
+    assert f"missing generated file {copy / 'reports.tsv'}" in caplog.text
+
+
 @pytest.mark.parametrize("kind", sorted(MALFORMED_ECHOES))
 def test_verify_manifest_rejects_malformed_scenario(tmp_path, caplog, kind):
     outdir = tmp_path / kind
@@ -193,6 +201,16 @@ def test_infeasible_similarity_target_names_requirement():
         clusters=(ClusterSpec("concordant", size=6, target_ssm=0.9),),
     )
     with pytest.raises(ValidationError, match="concepts"):
+        render(scenario)
+
+
+def test_groupmates_need_enough_background_pts():
+    # 12 PTs: 5 cluster members leave 7 background PTs for 8 group-mates.
+    scenario = replace(
+        PRESETS["discordant"], n_pts=12, planted=(),
+        clusters=(ClusterSpec("discordant", size=5, target_ssm=0.35, n_groupmates=8),),
+    )
+    with pytest.raises(ValidationError, match="not enough background PTs"):
         render(scenario)
 
 
