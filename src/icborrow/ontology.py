@@ -42,6 +42,10 @@ class Ontology:
     concepts: dict[str, Concept]
     isa_parents: dict[str, tuple[str, ...]]
     meddra_parents: dict[str, tuple[str, ...]]
+    # code -> its hlgt_neighbors, filled as codes are asked for
+    _hlgt_neighbor_lists: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -147,19 +151,28 @@ class Ontology:
         ancestor, so it borrows from nobody under IC_HLGT. A code outside the
         ontology (load_reports keeps such event codes and warns about them)
         yields an empty list.
+
+        The ontology keeps each code's list, so the warning comes once per
+        code; every call returns a new list.
         """
+        hit = self._hlgt_neighbor_lists.get(pt)
+        if hit is None:
+            hit = self._hlgt_neighbor_lists[pt] = self._find_hlgt_neighbors(pt)
+        return list(hit)
+
+    def _find_hlgt_neighbors(self, pt: str) -> tuple[str, ...]:
         if pt not in self.concepts:
-            return []
+            return ()
         own = self.meddra_groups(pt, "HLGT")
         if not own:
             log.warning("%s %s has no HLGT ancestor; no group neighbors",
                         self.concepts[pt].level, pt)
-            return []
+            return ()
         out: set[str] = set()
         for g in own:
             out.update(self._hlgt_members.get(g, ()))
         out.discard(pt)
-        return sorted(out)
+        return tuple(sorted(out))
 
     @cached_property
     def _hlgt_members(self) -> dict[str, set[str]]:

@@ -259,13 +259,14 @@ class IcCache:
         return hit
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunContext:
-    """Shared state for one or more screens over the same store and config.
+    """The inputs of one or more screens over the same store and config.
 
-    A given similarity matrix must be built at or below config.min_ssm. A
-    given cache may be shared with any other contexts, whatever their store
-    or config.
+    A context is frozen and holds only its inputs and its IcCache, the one
+    mutable thing a screen carries. A given similarity matrix must be built
+    at or below config.min_ssm. A given cache may be shared with any other
+    contexts, whatever their store or config.
     """
 
     store: ReportStore
@@ -273,9 +274,6 @@ class RunContext:
     similarity: SimilarityMatrix | None = None
     ontology: Ontology | None = None
     cache: IcCache = field(default_factory=IcCache)
-    _neighbor_memo: dict[tuple[str, str], list[tuple[str, float]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         cfg = self.config
@@ -297,21 +295,12 @@ class RunContext:
         takes every PT sharing an HLGT, each with similarity 1. The target
         itself is never a candidate.
         """
-        key = (pt, method)
-        hit = self._neighbor_memo.get(key)
-        if hit is None:
-            if method == METHOD_SSM:
-                hit = [
-                    (n, s)
-                    for n, s in self.similarity.neighbors(pt)
-                    if s > self.config.min_ssm
-                ]
-            elif method == METHOD_HLGT:
-                hit = [(n, 1.0) for n in self.ontology.hlgt_neighbors(pt)]
-            else:
-                raise ValueError(f"method {method!r} does not borrow")
-            self._neighbor_memo[key] = hit
-        return hit
+        if method == METHOD_SSM:
+            return [(n, s) for n, s in self.similarity.neighbors(pt)
+                    if s > self.config.min_ssm]
+        if method == METHOD_HLGT:
+            return [(n, 1.0) for n in self.ontology.hlgt_neighbors(pt)]
+        raise ValueError(f"method {method!r} does not borrow")
 
 
 def _gather_sources(

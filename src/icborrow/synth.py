@@ -102,11 +102,7 @@ class Layout:
     cluster_members: list[list[str]]
     groupmates: list[list[str]]
     background: list[str]
-    n_bg_hlt: int
-    n_bg_hlgt: int
     pt_hlts: dict[str, list[str]]  # every PT's MedDRA HLT parents
-    n_concepts: int
-    designed_ssm: list[float]
 
 
 def _layout(s: Scenario) -> Layout:
@@ -148,15 +144,12 @@ def _layout(s: Scenario) -> Layout:
     for idx, mates in enumerate(groupmates):
         for pt in mates:
             pt_hlts[pt].append(f"HLTC{idx:02d}")
-    n_bg_hlt = math.ceil(len(background) / _PTS_PER_HLT)
-    n_bg_hlgt = math.ceil(n_bg_hlt / _HLTS_PER_HLGT)
-    n_concepts = (
-        s.n_pts
-        + 3 * len(s.clusters)  # GRP + cluster HLT + cluster HLGT
-        + n_bg_hlt
-        + n_bg_hlgt
-        + 2  # SOC0 + ROOT
-    )
+    return Layout(members, groupmates, background, pt_hlts)
+
+
+def _designed_ssm(s: Scenario, n_concepts: int) -> list[float]:
+    """Each cluster's sibling similarity in a graph of n_concepts concepts;
+    refuses a cluster that falls short of its target."""
     designed = []
     for c in s.clusters:
         m = 1.0 - math.log(c.size + 1) / math.log(n_concepts)
@@ -171,13 +164,11 @@ def _layout(s: Scenario) -> Layout:
                 f"n_pts by about {n_req - n_concepts}"
             )
         designed.append(ssm)
-    return Layout(
-        members, groupmates, background, n_bg_hlt, n_bg_hlgt, pt_hlts,
-        n_concepts, designed,
-    )
+    return designed
 
 
-def _render_ontology(s: Scenario, lay: Layout) -> str:
+def _render_ontology(s: Scenario, lay: Layout) -> tuple[str, int]:
+    """The ontology file's text and its number of concepts."""
     lines = ["# synthetic concept graph"]
     nodes: list[tuple[str, str, str]] = [("ROOT", "OTHER", "root"), ("SOC0", "SOC", "system organ class 0")]
     edges: list[tuple[str, str, str]] = [("SOC0", "ROOT", "ISA")]
@@ -195,10 +186,11 @@ def _render_ontology(s: Scenario, lay: Layout) -> str:
         for pt in lay.cluster_members[idx]:
             add_node(pt, "PT", f"term {pt}", isa_parent=f"GRP{idx:02d}")
 
-    for k in range(lay.n_bg_hlt):
+    n_bg_hlt = math.ceil(len(lay.background) / _PTS_PER_HLT)
+    for k in range(n_bg_hlt):
         add_node(f"HLT{k:03d}", "HLT", f"term group {k}")
         edges.append((f"HLT{k:03d}", f"HLG{k // _HLTS_PER_HLGT:03d}", "MEDDRA"))
-    for k in range(lay.n_bg_hlgt):
+    for k in range(math.ceil(n_bg_hlt / _HLTS_PER_HLGT)):
         add_node(f"HLG{k:03d}", "HLGT", f"group {k}")
         edges.append((f"HLG{k:03d}", "SOC0", "MEDDRA"))
     for pt in lay.background:
@@ -210,7 +202,7 @@ def _render_ontology(s: Scenario, lay: Layout) -> str:
         lines.append(f"N\t{code}\t{level}\t{label}")
     for child, parent, kind in sorted(edges):
         lines.append(f"E\t{child}\t{parent}\t{kind}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", len(nodes)
 
 
 def _event_weights(s: Scenario, lay: Layout) -> np.ndarray:
@@ -363,10 +355,12 @@ def render(scenario: Scenario) -> tuple[dict[str, bytes], dict]:
     manifest as a dict; both fully deterministic. The manifest's digests are
     taken from the same bytes."""
     lay = _layout(scenario)
+    ontology_text, n_concepts = _render_ontology(scenario, lay)
+    designed_ssm = _designed_ssm(scenario, n_concepts)
     reports_text, counts = _render_reports(scenario, lay)
     reference_text, positives, negatives = _render_reference(scenario, lay)
     files = {
-        ONTOLOGY_FILE: _render_ontology(scenario, lay).encode(),
+        ONTOLOGY_FILE: ontology_text.encode(),
         REPORTS_FILE: reports_text.encode(),
         REFERENCE_FILE: reference_text.encode(),
     }
@@ -376,11 +370,11 @@ def render(scenario: Scenario) -> tuple[dict[str, bytes], dict]:
         "counts": counts,
         "totals": {
             "reports": scenario.n_reports,
-            "concepts": lay.n_concepts,
+            "concepts": n_concepts,
             "positives": len(positives),
             "negatives": len(negatives),
         },
-        "designed_ssm": [round(v, 12) for v in lay.designed_ssm],
+        "designed_ssm": [round(v, 12) for v in designed_ssm],
         "cluster_members": lay.cluster_members,
         "groupmates": lay.groupmates,
         "positives": positives,

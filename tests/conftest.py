@@ -3,11 +3,14 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 from icborrow import Ontology, Quarter, ReportStore, SimilarityMatrix, load_reports
 from icborrow.errors import ValidationError
 from icborrow.ontology import Concept
+
+from oracles import random_dag
 
 # Nine-concept chain: ROOT > M1 > ... > M5 > P > {L1, L2}. With N = 9 the
 # parent P of the two leaves has exactly two descendants, so its intrinsic
@@ -91,6 +94,16 @@ def make_ontology(
         isa_parents={c: tuple(ps) for c, ps in parents.items()},
         meddra_parents={c: tuple(ps) for c, ps in (meddra_parents or {}).items()},
     )
+
+
+def grouped_ontology(seed: int) -> Ontology:
+    """A random 40-code graph, ISA and MEDDRA edges each a random DAG, whose
+    last 25 codes are PTs and whose codes 3, 6 and 9 are HLGTs."""
+    rng = np.random.default_rng(seed)
+    codes = [f"C{i:03d}" for i in range(40)]
+    levels = {c: "PT" if i >= 15 else "HLGT" if i in (3, 6, 9) else "OTHER"
+              for i, c in enumerate(codes)}
+    return make_ontology(random_dag(rng, 40), codes, levels, random_dag(rng, 40))
 
 
 def make_store(rows: list[tuple[str, str, set, set]]) -> ReportStore:

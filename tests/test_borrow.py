@@ -185,6 +185,22 @@ def test_random_effects_falls_back_to_fixed(monkeypatch):
     assert pooled.tau2 == 0.0
 
 
+def test_reml_bracket_search_gives_up(caplog):
+    # Two sources 2e13 apart call for tau^2 = (2e13)**2 / 2 - 1, about 2e26,
+    # beyond the last upper end the bracket search tries (2**79, about
+    # 6e23), so REML reports no convergence.
+    tau2, converged = reml_tau2([-1e13, 1e13], [1.0, 1.0])
+    assert math.isnan(tau2) and not converged
+    sources = [src(-1e13, 1.0), src(1e13, 1.0)]
+    caplog.set_level("WARNING", logger="icborrow.borrow")
+    pooled = random_effects_map(sources)
+    assert pooled == replace(fixed_effect_map(sources), converged=False)
+    assert [r.getMessage() for r in caplog.records] == [
+        "REML heterogeneity estimate did not converge over 2 sources; "
+        "falling back to fixed-effect pooling"
+    ]
+
+
 def test_random_effects_inflates_weights_by_tau2():
     sources = [src(-1.5, 0.1, 0.5), src(0.0, 0.1, 0.5), src(1.5, 0.1, 0.5)]
     pooled = random_effects_map(sources)

@@ -1,6 +1,7 @@
 import ast
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import patch
 
 import numpy as np
@@ -13,6 +14,7 @@ from icborrow.ontology import LEVELS
 
 from conftest import (
     all_pairs_similarity,
+    grouped_ontology,
     load_similarity_csv,
     make_ontology,
     save_similarity_csv,
@@ -123,6 +125,31 @@ def test_hlgt_neighbors_union_across_groups(tmp_path):
     assert ont.hlgt_neighbors("Y") == ["X"]
     # W has no HLGT at all: empty, not an error
     assert ont.hlgt_neighbors("W") == []
+
+
+def test_hlgt_neighbors_hands_out_copies(chain_ontology):
+    first = chain_ontology.hlgt_neighbors("L1")
+    first.append("L9")
+    assert chain_ontology.hlgt_neighbors("L1") == ["L2"]
+
+
+def test_hlgt_neighbors_from_many_threads():
+    # Worker threads fill one ontology's neighbour lists at once; a racing
+    # writer stores the list every other writer stores.
+    shared = grouped_ontology(0)
+    codes = sorted(shared.concepts)
+    expected = [grouped_ontology(0).hlgt_neighbors(c) for c in codes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            runs = [pool.submit(lambda: [shared.hlgt_neighbors(c) for c in codes])
+                    for _ in range(16)]
+            got = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected] * 16
+    assert [shared.hlgt_neighbors(c) for c in codes] == expected
 
 
 def test_hlgt_neighbors_warning_names_the_level(caplog):

@@ -1,7 +1,7 @@
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -30,9 +30,10 @@ from icborrow.pipeline import (
     posterior_ic,
 )
 from icborrow.cli import write_results_csv
+from icborrow.evaluate import ReferenceEntry, parameter_sweep, sweep_points
 from icborrow.synth import PRESETS, generate
 
-from conftest import make_store
+from conftest import grouped_ontology, make_store
 
 Q = Quarter.parse
 
@@ -250,6 +251,65 @@ def test_context_neighbors(six_report_store, chain_ontology):
         assert ctx.neighbors("L1", METHOD_HLGT) == [("L2", 1.0)]
         with pytest.raises(ValueError):
             ctx.neighbors("L1", METHOD_IC)
+
+
+def test_context_neighbors_read_the_matrix_and_ontology(six_report_store):
+    # Contexts at three similarity cutoffs share one matrix built at the
+    # lowest and one ontology; each reads its candidates from them on every
+    # call.
+    ontology = grouped_ontology(0)
+    similarity = build_similarity(ontology, min_ssm=0.2)
+    kept = []
+    for min_ssm in (0.2, 0.3, 0.4):
+        ctx = RunContext(
+            six_report_store,
+            small_config(methods=(METHOD_SSM, METHOD_HLGT), min_ssm=min_ssm),
+            similarity=similarity,
+            ontology=ontology,
+        )
+        own = build_similarity(ontology, min_ssm=min_ssm)
+        n_kept = 0
+        for pt in ontology.pts():
+            ssm = ctx.neighbors(pt, METHOD_SSM)
+            assert ssm == [(n, s) for n, s in similarity.neighbors(pt) if s > min_ssm]
+            assert ssm == own.neighbors(pt)
+            assert ctx.neighbors(pt, METHOD_HLGT) == [
+                (n, 1.0) for n in ontology.hlgt_neighbors(pt)
+            ]
+            n_kept += len(ssm)
+        kept.append(n_kept)
+    assert kept[0] > kept[1] > kept[2] > 0
+
+
+def test_hlgt_warning_comes_once_per_code(chain_ontology, caplog):
+    # M5 is the chain's HLGT: an event coded at M5 has no HLGT ancestor.
+    store = make_store([
+        ("R1", "2015Q1", {"DRUG"}, {"M5", "L1"}),
+        ("R2", "2015Q2", {"DRUG"}, {"M5", "L2"}),
+        ("R3", "2015Q2", {"OTHER_DRUG"}, {"L2"}),
+    ])
+    cfg = small_config(methods=(METHOD_IC, METHOD_HLGT))
+    caplog.set_level("WARNING", logger="icborrow.ontology")
+    run = run_quarters(RunContext(store, cfg, ontology=chain_ontology))
+    assert run.quarters == [Q("2015Q1"), Q("2015Q2")]
+    assert sum(r.event == "M5" for r in run.results) == 4
+    points = sweep_points(cfg, {"w": [0.5]})
+    assert len(points) == 2
+    parameter_sweep(
+        store, [ReferenceEntry("DRUG", "M5", "NEGATIVE")], points,
+        ontology=chain_ontology,
+    )
+    warned = [r.getMessage() for r in caplog.records if r.name == "icborrow.ontology"]
+    assert warned == ["HLGT M5 has no HLGT ancestor; no group neighbors"]
+
+
+def test_context_is_frozen_and_holds_only_its_inputs(six_report_store):
+    ctx = RunContext(six_report_store, small_config(methods=(METHOD_IC,)))
+    assert [f.name for f in fields(RunContext)] == [
+        "store", "config", "similarity", "ontology", "cache"
+    ]
+    with pytest.raises(FrozenInstanceError):
+        ctx.cache = IcCache()
 
 
 @pytest.mark.parametrize(
